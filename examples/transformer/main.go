@@ -74,7 +74,7 @@ func main() {
 		return mpc.ServeConfig{
 			ClientTimeout: 10 * time.Second,
 			PeerTimeout:   10 * time.Second,
-			Wire: &mpc.WireConfig{ChunkRows: 8, Codec: &mpc.WireCodec{
+			Wire: mpc.WireConfig{ChunkRows: 8, Codec: &mpc.WireCodec{
 				Enabled:   mpc.CodecFP16 | mpc.CodecCSR,
 				HW:        hw.Paper(),
 				Negotiate: true,

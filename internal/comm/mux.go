@@ -682,22 +682,20 @@ func (s *MuxSession) WriteFrame(frame []byte) error {
 	case err := <-s.ack:
 		return err
 	case <-s.done:
-		// The session was retired with our frame possibly still queued —
-		// the writer will never visit a retired session again. Reclaim it
-		// if the writer hasn't taken it; if it has, the ack is guaranteed.
-		select {
-		case <-s.out:
-			return s.reason()
-		default:
-		}
-		select {
-		case err := <-s.ack:
-			return err
-		case <-s.m.done:
-			return s.m.Err()
-		}
 	case <-s.m.done:
-		return s.m.Err()
+	}
+	// The session or the mux ended with our frame possibly still queued —
+	// the writer will never visit it again. Reclaim it if the writer hasn't
+	// taken it; if it has, the writer is still reading our buffers (frame
+	// and header), and its ack is guaranteed once the write returns.
+	select {
+	case <-s.out:
+		if err := s.m.Err(); err != nil {
+			return err
+		}
+		return s.reason()
+	default:
+		return <-s.ack
 	}
 }
 

@@ -43,7 +43,7 @@ func TestWireTransformerMatchesPlain(t *testing.T) {
 	addr0, addr1, shutdown := startServePair(t, ServeConfig{
 		ClientTimeout: 10 * time.Second,
 		PeerTimeout:   10 * time.Second,
-		Wire:          &WireConfig{ChunkRows: 8},
+		Wire:          WireConfig{ChunkRows: 8},
 	})
 	defer shutdown()
 
@@ -92,7 +92,7 @@ func TestWireAttentionOnlyMatchesPlain(t *testing.T) {
 	addr0, addr1, shutdown := startServePair(t, ServeConfig{
 		ClientTimeout: 10 * time.Second,
 		PeerTimeout:   10 * time.Second,
-		Wire:          &WireConfig{ChunkRows: 8},
+		Wire:          WireConfig{ChunkRows: 8},
 	})
 	defer shutdown()
 	c0, c1 := dialPair(t, addr0, addr1)
@@ -135,7 +135,7 @@ func TestWireTransformerBatchedCodecStable(t *testing.T) {
 	cfg0 := ServeConfig{
 		ClientTimeout: 15 * time.Second,
 		PeerTimeout:   15 * time.Second,
-		Wire:          &WireConfig{ChunkRows: 8, Codec: mkCodec()},
+		Wire:          WireConfig{ChunkRows: 8, Codec: mkCodec()},
 		Batch: &BatchConfig{
 			Window:   30 * time.Millisecond,
 			MaxBatch: clients,
@@ -143,7 +143,7 @@ func TestWireTransformerBatchedCodecStable(t *testing.T) {
 		},
 	}
 	cfg1 := cfg0
-	cfg1.Wire = &WireConfig{ChunkRows: 8, Codec: mkCodec()}
+	cfg1.Wire = WireConfig{ChunkRows: 8, Codec: mkCodec()}
 	addr0, addr1, shutdown := startServePairCfgs(t, cfg0, cfg1)
 	defer shutdown()
 

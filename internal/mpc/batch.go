@@ -735,8 +735,11 @@ func sendStacked(conn comm.Framer, fstack, estack *tensor.Matrix, band int, fKin
 // batchExec runs this party's side of one batched exchange over sess: B
 // members of identical m×k × k×n geometry, row-stacked. The wire protocol
 // is the pipelined exchange's, applied to the stacks: one (B·k)×n F frame,
-// then the (B·m)×k E stack in bands of stackBand rows, full duplex. Each
-// member's rows run exactly the per-session op sequence (Eqs. 4, 5, 8) —
+// then the (B·m)×k E stack in bands of stackBand rows, full duplex. It
+// mirrors wireMul.mul op for op — in-place E/F reconstruction, party 0's
+// A rows used directly as D, band heights read from the peer's frame
+// headers — and each member's rows run exactly the per-session op
+// sequence (Eqs. 4, 5, 8) —
 // every dst row of the fused GEMM accumulates independently, so the
 // result is bit-identical to B individual exchanges (under codec, to B
 // individual exchanges with the same picks: FP16 rounding is elementwise
@@ -795,7 +798,8 @@ func batchExec(party int, sess *comm.MuxSession, shape batchShape, members []*ba
 	var exchDur, reconDur, gemmDur time.Duration
 	var recvBuf []byte
 
-	// Public stacked F (Eq. 5).
+	// Public stacked F (Eq. 5), reconstructed in place into the decoded
+	// peer share.
 	t0 := time.Now()
 	frame, err := readFrameInto(sess, recvBuf)
 	exchDur += time.Since(t0)
@@ -803,15 +807,13 @@ func batchExec(party int, sess *comm.MuxSession, shape batchShape, members []*ba
 		return nil, fmt.Errorf("mpc: batch recv F: %w", err)
 	}
 	recvBuf = frame
-	peerF := pool.Get(B*k, n)
-	defer pool.Put(peerF)
-	if _, err := tensor.DecodeAnyInto(peerF, frame); err != nil {
+	fpub := pool.Get(B*k, n)
+	defer pool.Put(fpub)
+	if _, err := tensor.DecodeAnyInto(fpub, frame); err != nil {
 		return nil, fmt.Errorf("mpc: batch decode F: %w", err)
 	}
 	t0 = time.Now()
-	fpub := pool.Get(B*k, n)
-	defer pool.Put(fpub)
-	tensor.Add(fpub, fstack, peerF)
+	tensor.Add(fpub, fstack, fpub)
 	reconDur += time.Since(t0)
 
 	cstack := pool.Get(stackRows, n)
@@ -822,35 +824,43 @@ func batchExec(party int, sess *comm.MuxSession, shape batchShape, members []*ba
 		}
 	}()
 
-	peerBand := pool.Get(stackBand, k)
-	epubBuf := pool.Get(stackBand, k)
-	dBuf := pool.Get(stackBand, k)
+	// Band heights come from the peer's frame headers, as in wireMul.mul.
+	var peerBand, dBuf *tensor.Matrix
 	defer func() {
 		pool.Put(peerBand)
-		pool.Put(epubBuf)
 		pool.Put(dBuf)
 	}()
 
-	var pbView, eView, esView, eSlice, dSlice, aView, cView, fView, zView tensor.Matrix
-	for lo := 0; lo < stackRows; lo += stackBand {
-		hi := min(lo+stackBand, stackRows)
-		rows := hi - lo
+	var pbView, esView, eSlice, dSlice, aView, cView, fView, zView tensor.Matrix
+	for lo, band := 0, 0; lo < stackRows; band++ {
 		t0 := time.Now()
 		frame, err := readFrameInto(sess, recvBuf)
 		exchDur += time.Since(t0)
 		if err != nil {
-			return nil, fmt.Errorf("mpc: batch recv E band %d: %w", lo/stackBand, err)
+			return nil, fmt.Errorf("mpc: batch recv E band %d: %w", band, err)
 		}
 		recvBuf = frame
-		pb := peerBand.SliceRowsInto(&pbView, 0, rows)
-		if _, err := tensor.DecodeAnyInto(pb, frame); err != nil {
-			return nil, fmt.Errorf("mpc: batch decode E band %d: %w", lo/stackBand, err)
+		rows, err := bandHeight(frame, stackRows-lo, k)
+		if err != nil {
+			return nil, fmt.Errorf("mpc: batch E band %d: %w", band, err)
 		}
-		// Reconstruct the stacked public E band, then fuse each member's
-		// overlap with the per-session op sequence (Eqs. 5, 8).
+		if peerBand == nil || rows > peerBand.Rows {
+			pool.Put(peerBand)
+			peerBand = pool.Get(rows, k)
+			if party == 1 {
+				pool.Put(dBuf)
+				dBuf = pool.Get(rows, k)
+			}
+		}
+		hi := lo + rows
+		eBand := peerBand.SliceRowsInto(&pbView, 0, rows)
+		if _, err := tensor.DecodeAnyInto(eBand, frame); err != nil {
+			return nil, fmt.Errorf("mpc: batch decode E band %d: %w", band, err)
+		}
+		// Reconstruct the stacked public E band in place, then fuse each
+		// member's overlap with the per-session op sequence (Eqs. 5, 8).
 		t0 = time.Now()
-		eBand := epubBuf.SliceRowsInto(&eView, 0, rows)
-		tensor.Add(eBand, estack.SliceRowsInto(&esView, lo, hi), pb)
+		tensor.Add(eBand, estack.SliceRowsInto(&esView, lo, hi), eBand)
 		t1 := time.Now()
 		reconDur += t1.Sub(t0)
 		for j := lo / m; j < B && j*m < hi; j++ {
@@ -861,11 +871,10 @@ func batchExec(party int, sess *comm.MuxSession, shape batchShape, members []*ba
 			in := members[j].in
 			lr0, lr1 := ov0-j*m, ov1-j*m
 			eSl := eBand.SliceRowsInto(&eSlice, ov0-lo, ov1-lo)
-			dSl := dBuf.SliceRowsInto(&dSlice, ov0-lo, ov1-lo)
+			dSl := in.A.SliceRowsInto(&aView, lr0, lr1) // party 0: D = A_0
 			if party == 1 {
-				tensor.Sub(dSl, in.A.SliceRowsInto(&aView, lr0, lr1), eSl)
-			} else {
-				dSl.CopyFrom(in.A.SliceRowsInto(&aView, lr0, lr1))
+				dSl = dBuf.SliceRowsInto(&dSlice, ov0-lo, ov1-lo)
+				tensor.Sub(dSl, &aView, eSl) // D = A_1 − E
 			}
 			cSl := cstack.SliceRowsInto(&cView, ov0, ov1)
 			fj := fpub.SliceRowsInto(&fView, j*k, (j+1)*k)
@@ -874,6 +883,7 @@ func batchExec(party int, sess *comm.MuxSession, shape batchShape, members []*ba
 			tensor.AXPY(cSl, 1, in.T.Z.SliceRowsInto(&zView, lr0, lr1)) // += Z_i
 		}
 		gemmDur += time.Since(t1)
+		lo = hi
 	}
 	t0 = time.Now()
 	sendErr := <-sendDone

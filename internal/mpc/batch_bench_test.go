@@ -1,7 +1,6 @@
 package mpc
 
 import (
-	"context"
 	"net"
 	"sync"
 	"testing"
@@ -24,61 +23,16 @@ const benchPeerFrameDelay = 200 * time.Microsecond
 // costs dominate — the regime where same-shape tenants pile up.
 const benchBatchDim = 32
 
-// startServePairPeerDelay is startServePair with the peer link built from
-// raw TCP conns behind write-delayed FaultConns.
+// startServePairPeerDelay is startServePair with every peer-link write
+// delayed by delay.
 func startServePairPeerDelay(tb testing.TB, cfg ServeConfig, delay time.Duration) (addr0, addr1 string, shutdown func()) {
 	tb.Helper()
-	peerLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		tb.Fatal(err)
-	}
-	ln0, err := comm.Listen("127.0.0.1:0")
-	if err != nil {
-		tb.Fatal(err)
-	}
-	ln1, err := comm.Listen("127.0.0.1:0")
-	if err != nil {
-		tb.Fatal(err)
-	}
-	delayed := func(raw net.Conn) *comm.Conn {
+	peer0, peer1 := tcpPeerLink(tb, func(raw net.Conn) net.Conn {
 		fc := comm.NewFaultConn(raw)
 		fc.WriteDelay = delay
-		return comm.Wrap(fc)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		raw, err := peerLn.Accept()
-		peerLn.Close()
-		if err != nil {
-			tb.Errorf("peer accept: %v", err)
-			return
-		}
-		peer := delayed(raw)
-		defer peer.Close()
-		if err := ServeClients(ctx, 0, ln0, peer, cfg); err != nil {
-			tb.Errorf("server 0: %v", err)
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		raw, err := net.Dial("tcp", peerLn.Addr().String())
-		if err != nil {
-			tb.Errorf("peer dial: %v", err)
-			return
-		}
-		peer := delayed(raw)
-		defer peer.Close()
-		if err := ServeClients(ctx, 1, ln1, peer, cfg); err != nil {
-			tb.Errorf("server 1: %v", err)
-		}
-	}()
-	return ln0.Addr().String(), ln1.Addr().String(), func() {
-		cancel()
-		wg.Wait()
-	}
+		return fc
+	})
+	return startServePairOn(tb, [2]ServeConfig{cfg, cfg}, [2]comm.Framer{peer0, peer1})
 }
 
 // benchBatchConfig is the batched arm's scheduler setup: a window wide

@@ -17,7 +17,7 @@ import (
 // boundaries, via FaultConn.DropAfterFrames) while 8 concurrent sessions
 // exchange E/F legs over it. The supervised link must detect each loss,
 // reconnect, resync, and replay the in-flight frames — every session
-// finishes with results bit-identical to its serial reference and no
+// finishes with results bit-identical to its reference product and no
 // session ever observes an error. This is the PR's headline guarantee:
 // a link failure is visible to RequestMul callers only as latency.
 func TestConcurrentSessionsSurviveLinkDrops(t *testing.T) {
@@ -38,7 +38,7 @@ func TestConcurrentSessionsSurviveLinkDrops(t *testing.T) {
 		a0, a1 := SplitRand(p, a)
 		b0, b1 := SplitRand(p, b)
 		jobs[i] = job{in0: Shares{A: a0, B: b0, T: t0}, in1: Shares{A: a1, B: b1, T: t1}}
-		jobs[i].want = serialReference(t, jobs[i].in0, jobs[i].in1)
+		jobs[i].want = referenceProduct(t, jobs[i].in0, jobs[i].in1)
 	}
 
 	peerLn, err := comm.Listen("127.0.0.1:0")
@@ -150,7 +150,7 @@ func TestConcurrentSessionsSurviveLinkDrops(t *testing.T) {
 					return
 				}
 				if !got.Equal(j.want) {
-					t.Errorf("result differs from serial reference by %v", got.MaxAbsDiff(j.want))
+					t.Errorf("result differs from the reference by %v", got.MaxAbsDiff(j.want))
 					failed.Store(true)
 					return
 				}
@@ -182,7 +182,7 @@ func TestConcurrentSessionsSurviveLinkDrops(t *testing.T) {
 				t.Fatalf("tail request during link chaos: %v", err)
 			}
 			if !got.Equal(jobs[0].want) {
-				t.Fatalf("tail result differs from serial reference by %v", got.MaxAbsDiff(jobs[0].want))
+				t.Fatalf("tail result differs from the reference by %v", got.MaxAbsDiff(jobs[0].want))
 			}
 		}
 	}

@@ -99,7 +99,7 @@ func TestConcurrentSessionsSurviveClientKill(t *testing.T) {
 	// The rogue: dials server 0 through a FaultConn whose write budget
 	// dies mid-frame, so its request upload truncates while its server 1
 	// leg completes — the exact half-uploaded state that used to wedge
-	// the serial peer link.
+	// the peer link.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()

@@ -1,11 +1,9 @@
 package mpc
 
 import (
-	"context"
 	"encoding/binary"
 	"errors"
 	"net"
-	"sync"
 	"testing"
 	"time"
 
@@ -14,59 +12,6 @@ import (
 	"parsecureml/internal/rng"
 	"parsecureml/internal/tensor"
 )
-
-// servePair boots both parties as failure-aware accept loops over a real
-// TCP peer link (buffered, like production, so an orphaned E/F frame can
-// sit in the socket between sessions) and returns the client-facing
-// addresses plus a shutdown func.
-func servePair(t *testing.T, cfg ServeConfig) (addr0, addr1 string, shutdown func()) {
-	t.Helper()
-	peerLn, err := comm.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln0, err := comm.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln1, err := comm.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		peer, err := comm.Accept(peerLn)
-		peerLn.Close()
-		if err != nil {
-			t.Errorf("peer accept: %v", err)
-			return
-		}
-		defer peer.Close()
-		if err := ServeClients(ctx, 0, ln0, peer, cfg); err != nil {
-			t.Errorf("server 0: %v", err)
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		peer, err := comm.DialRetry(peerLn.Addr().String(), comm.RetryConfig{Attempts: 10, BaseDelay: 10 * time.Millisecond})
-		if err != nil {
-			t.Errorf("peer dial: %v", err)
-			return
-		}
-		defer peer.Close()
-		if err := ServeClients(ctx, 1, ln1, peer, cfg); err != nil {
-			t.Errorf("server 1: %v", err)
-		}
-	}()
-	return ln0.Addr().String(), ln1.Addr().String(), func() {
-		cancel()
-		wg.Wait()
-	}
-}
 
 // requestOK drives one full RequestMul against the pair and verifies the
 // product against plaintext.
@@ -110,7 +55,7 @@ func TestKilledClientMidRequestRecovery(t *testing.T) {
 		PeerTimeout:   300 * time.Millisecond,
 		Log:           obs.LogfLogger(t.Logf),
 	}
-	addr0, addr1, shutdown := servePair(t, cfg)
+	addr0, addr1, shutdown := startServePair(t, cfg)
 	defer shutdown()
 
 	client := newRemoteClient()
@@ -151,7 +96,7 @@ func TestTruncatedUploadRecovery(t *testing.T) {
 		PeerTimeout:   300 * time.Millisecond,
 		Log:           obs.LogfLogger(t.Logf),
 	}
-	addr0, addr1, shutdown := servePair(t, cfg)
+	addr0, addr1, shutdown := startServePair(t, cfg)
 	defer shutdown()
 
 	// Hand-write a frame header promising 4096 bytes over a raw socket,
@@ -234,46 +179,6 @@ func TestRequestMulTypedErrors(t *testing.T) {
 	b0.Close()
 }
 
-func TestTaggedConnDiscardsStaleFrames(t *testing.T) {
-	a, b := comm.Pipe()
-	defer a.Close()
-	defer b.Close()
-	stale := &taggedConn{c: a, id: 1}
-	fresh := &taggedConn{c: a, id: 2}
-	reader := &taggedConn{c: b, id: 2}
-
-	go func() {
-		stale.WriteFrame([]byte("orphaned"))
-		fresh.WriteFrame([]byte("current"))
-	}()
-	got, err := reader.ReadFrame()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "current" {
-		t.Fatalf("read %q, want the fresh frame", got)
-	}
-}
-
-func TestTaggedConnDesyncBound(t *testing.T) {
-	a, b := comm.Pipe()
-	defer a.Close()
-	defer b.Close()
-	go func() {
-		w := &taggedConn{c: a, id: 99}
-		for i := 0; i < maxStaleFrames+1; i++ {
-			if w.WriteFrame([]byte("junk")) != nil {
-				return
-			}
-		}
-	}()
-	reader := &taggedConn{c: b, id: 1}
-	_, err := reader.ReadFrame()
-	if !errors.Is(err, ErrPeerDesync) {
-		t.Fatalf("got %v, want ErrPeerDesync", err)
-	}
-}
-
 func TestRequestCodecRoundTrip(t *testing.T) {
 	p := rng.NewPool(10)
 	in := Shares{
@@ -303,7 +208,7 @@ func TestRequestCodecRoundTrip(t *testing.T) {
 // Graceful shutdown: cancelling the serve context stops both accept
 // loops even with no client connected.
 func TestServeClientsGracefulShutdown(t *testing.T) {
-	_, _, shutdown := servePair(t, ServeConfig{PeerTimeout: 200 * time.Millisecond, Log: obs.LogfLogger(t.Logf)})
+	_, _, shutdown := startServePair(t, ServeConfig{PeerTimeout: 200 * time.Millisecond, Log: obs.LogfLogger(t.Logf)})
 	done := make(chan struct{})
 	go func() {
 		shutdown()

@@ -38,8 +38,8 @@ type TripletFeed interface {
 // mux session, ahead of the Beaver exchange: party 0 draws the next
 // ready triplet from its feed and announces the sequence number; party
 // 1 reads the announcement and takes the matching triplet from its own
-// feed. The announcement frame is the session's first, so the exchange
-// protocols above (serial or banded) start cleanly after it.
+// feed. The announcement frame is the session's first, so the banded
+// exchange starts cleanly after it.
 func feedTriplet(party int, feed TripletFeed, sess comm.Framer, m, k, n int) (TripletShares, error) {
 	if party == 0 {
 		seq, t, err := feed.Next(m, k, n)

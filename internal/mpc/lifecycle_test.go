@@ -6,7 +6,6 @@ import (
 	"errors"
 	"io"
 	"net"
-	"sync"
 	"testing"
 	"time"
 
@@ -20,25 +19,16 @@ import (
 // frames on the client<->server conns, the unbounded-shutdown path in
 // ServeClients, and the unbounded role handshake.
 
-// startServePipes runs both parties' serial serving loops over in-memory
-// pipes and returns the client-facing conn ends.
-func startServePipes(t *testing.T) (c0, c1 *comm.Conn, shutdown func()) {
+// startServeConns boots a ServeClients pair and returns one client's
+// connections to it.
+func startServeConns(t *testing.T) (c0, c1 *comm.Conn, shutdown func()) {
 	t.Helper()
-	c0, s0 := comm.Pipe()
-	c1, s1 := comm.Pipe()
-	p0, p1 := comm.Pipe()
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() { defer wg.Done(); ServeLoop(0, s0, p0) }()
-	go func() { defer wg.Done(); ServeLoop(1, s1, p1) }()
+	addr0, addr1, stop := startServePair(t, ServeConfig{ClientTimeout: 10 * time.Second, PeerTimeout: 10 * time.Second})
+	c0, c1 = dialPair(t, addr0, addr1)
 	return c0, c1, func() {
 		c0.Close()
 		c1.Close()
-		wg.Wait()
-		s0.Close()
-		s1.Close()
-		p0.Close()
-		p1.Close()
+		stop()
 	}
 }
 
@@ -71,7 +61,7 @@ func staleResultFrames(n int) [][]byte {
 // A result frame orphaned by an aborted earlier call must be shed on the
 // next RequestMul over the same connections, not decoded as its answer.
 func TestRequestMulShedsOrphanedResults(t *testing.T) {
-	c0, c1, shutdown := startServePipes(t)
+	c0, c1, shutdown := startServeConns(t)
 	defer shutdown()
 
 	p := rng.NewPool(21)
@@ -96,7 +86,7 @@ func TestRequestMulShedsOrphanedResults(t *testing.T) {
 // A connection delivering nothing but orphaned results must fail with
 // ErrPeerDesync after a bounded number of discards, not spin forever.
 func TestRequestMulResultDesyncBound(t *testing.T) {
-	c0, c1, shutdown := startServePipes(t)
+	c0, c1, shutdown := startServeConns(t)
 	defer shutdown()
 
 	p := rng.NewPool(22)

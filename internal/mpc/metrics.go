@@ -22,10 +22,9 @@ var metrics = struct {
 	phaseGemm        *obs.Histogram
 	phaseReconstruct *obs.Histogram
 
-	// Whole-request latency per serving path.
-	reqSerial, reqWire           *obs.Histogram
-	reqBatched                   *obs.Histogram
-	reqInferSerial, reqInferWire *obs.Histogram
+	// Whole-request latency per serving path: an individual banded
+	// exchange, or a member of a cross-session batch.
+	reqWire, reqBatched *obs.Histogram
 
 	// Cross-session batching (batch.go): batches executed, requests they
 	// carried, requests that fell back to the individual path, members the
@@ -55,8 +54,8 @@ var metrics = struct {
 	sessionsActive          *obs.Gauge
 	sessionsShed            *obs.Counter
 
-	// Connection-lifecycle pathologies the bugfix sweep made visible:
-	// orphaned frames shed by request-id tagging, and links declared
+	// Connection-lifecycle pathologies: orphaned result frames shed by
+	// request-id tagging on client connections, and connections declared
 	// desynchronized after the stale-frame bound.
 	staleFrames *obs.Counter
 	desyncs     *obs.Counter
@@ -76,11 +75,8 @@ var metrics = struct {
 	phaseGemm:        obs.Default.Histogram(`psml_phase_seconds{phase="gemm"}`, "Serving time per protocol phase (paper: offline, online, reconstruct, transfer)."),
 	phaseReconstruct: obs.Default.Histogram(`psml_phase_seconds{phase="reconstruct"}`, "Serving time per protocol phase (paper: offline, online, reconstruct, transfer)."),
 
-	reqSerial:      obs.Default.Histogram(`psml_request_seconds{path="mul_serial"}`, "Whole-request serving latency per path."),
-	reqWire:        obs.Default.Histogram(`psml_request_seconds{path="mul_wire"}`, "Whole-request serving latency per path."),
-	reqBatched:     obs.Default.Histogram(`psml_request_seconds{path="mul_batched"}`, "Whole-request serving latency per path."),
-	reqInferSerial: obs.Default.Histogram(`psml_request_seconds{path="infer_serial"}`, "Whole-request serving latency per path."),
-	reqInferWire:   obs.Default.Histogram(`psml_request_seconds{path="infer_wire"}`, "Whole-request serving latency per path."),
+	reqWire:    obs.Default.Histogram(`psml_request_seconds{path="mul_wire"}`, "Whole-request serving latency per path."),
+	reqBatched: obs.Default.Histogram(`psml_request_seconds{path="mul_batched"}`, "Whole-request serving latency per path."),
 
 	batches:        obs.Default.Counter("psml_batch_batches_total", "Cross-session batches executed as stacked exchanges."),
 	batchRequests:  obs.Default.Counter("psml_batch_requests_total", "Requests served inside cross-session batches."),
@@ -113,8 +109,8 @@ var metrics = struct {
 	sessionsActive: obs.Default.Gauge("psml_sessions_active", "Client sessions currently being served."),
 	sessionsShed:   obs.Default.Counter("psml_sessions_shed_total", "Client connections shed at accept because MaxSessions were already in flight."),
 
-	staleFrames: obs.Default.Counter("psml_stale_frames_total", "Orphaned frames discarded by request-id tagging (peer link and client results)."),
-	desyncs:     obs.Default.Counter("psml_peer_desync_total", "Links declared desynchronized after the stale-frame bound."),
+	staleFrames: obs.Default.Counter("psml_stale_frames_total", "Orphaned result frames discarded by request-id tagging on client connections."),
+	desyncs:     obs.Default.Counter("psml_peer_desync_total", "Client connections declared desynchronized after the stale-frame bound."),
 
 	deadlineShed:  obs.Default.Counter("psml_deadline_server_shed_total", "Requests refused at replica admission: remaining budget below the cost-model exchange floor."),
 	clientRetries: obs.Default.Counter("psml_client_retries_total", "RequestMulRetry attempts re-sent after a retryable route error."),

@@ -1,88 +1,11 @@
 package mpc
 
-import (
-	"fmt"
-	"time"
+import "parsecureml/internal/tensor"
 
-	"parsecureml/internal/comm"
-	"parsecureml/internal/tensor"
-)
-
-// Remote execution: the same Beaver protocol run between two genuinely
-// concurrent parties over a framed byte transport (TCP or an in-memory
-// pipe). The simulated deployment above models the paper's cluster
-// timing; this path demonstrates that the protocol logic is wire-complete
-// — each party sees only its shares and the masked E/F frames, and the
-// client recovers the exact product. The paper's MPI layer plays this
-// role (§6); stdlib net is the closest substitute.
-
-// RemoteParty executes party i of one triplet multiplication C = A×B over
-// conn, which must be connected to the other party running the same
-// function with the complementary index. Blocking (bounded by conn's
-// deadlines, if any); returns this party's share C_i. conn is any framed
-// transport — a raw comm.Conn, or the serving layer's request-tagged
-// wrapper.
-func RemoteParty(party int, conn comm.Framer, in Shares) (*tensor.Matrix, error) {
-	if party != 0 && party != 1 {
-		return nil, fmt.Errorf("mpc: remote party index %d", party)
-	}
-	// Local E_i = A_i − U_i, F_i = B_i − V_i (Eq. 4).
-	ei := tensor.SubTo(in.A, in.T.U)
-	fi := tensor.SubTo(in.B, in.T.V)
-
-	// Exchange. Party 0 sends first, then receives; party 1 mirrors —
-	// a deadlock-free fixed order on one duplex connection. The whole
-	// round is the transfer phase the paper's profiling isolates.
-	exchT0 := time.Now()
-	frame := make([]byte, 0, tensor.EncodedSize(ei)+tensor.EncodedSize(fi))
-	frame = tensor.EncodeMatrix(frame, ei)
-	frame = tensor.EncodeMatrix(frame, fi)
-	var peerFrame []byte
-	var err error
-	if party == 0 {
-		if err = conn.WriteFrame(frame); err != nil {
-			return nil, fmt.Errorf("mpc: send E/F: %w", err)
-		}
-		if peerFrame, err = conn.ReadFrame(); err != nil {
-			return nil, fmt.Errorf("mpc: recv E/F: %w", err)
-		}
-	} else {
-		if peerFrame, err = conn.ReadFrame(); err != nil {
-			return nil, fmt.Errorf("mpc: recv E/F: %w", err)
-		}
-		if err = conn.WriteFrame(frame); err != nil {
-			return nil, fmt.Errorf("mpc: send E/F: %w", err)
-		}
-	}
-	metrics.phaseExchange.ObserveSince(exchT0)
-	peerE, n, err := tensor.DecodeMatrix(peerFrame)
-	if err != nil {
-		return nil, fmt.Errorf("mpc: decode peer E: %w", err)
-	}
-	peerF, _, err := tensor.DecodeMatrix(peerFrame[n:])
-	if err != nil {
-		return nil, fmt.Errorf("mpc: decode peer F: %w", err)
-	}
-
-	// Reconstruct the public masks (Eq. 5).
-	reconT0 := time.Now()
-	e := tensor.AddTo(ei, peerE)
-	f := tensor.AddTo(fi, peerF)
-	metrics.phaseReconstruct.ObserveSince(reconT0)
-
-	// C_i = ((−i)·E + A_i)×F + E×B_i + Z_i (Eq. 8).
-	gemmT0 := time.Now()
-	d := in.A.Clone()
-	if party == 1 {
-		tensor.AXPY(d, -1, e)
-	}
-	c := tensor.MulTo(d, f)
-	eb := tensor.MulTo(e, in.B)
-	tensor.Add(c, c, eb)
-	tensor.Add(c, c, in.T.Z)
-	metrics.phaseGemm.ObserveSince(gemmT0)
-	return c, nil
-}
+// Client side of a remote multiplication: the share split the client
+// uploads to both serving parties (RequestMul) and the merge of their
+// result shares. The parties run the Beaver exchange between themselves
+// (wireMul.mul, served by ServeClients).
 
 // RemoteClientSplit prepares both parties' inputs for one remote
 // multiplication: shares of A and B plus a Beaver triplet, exactly the

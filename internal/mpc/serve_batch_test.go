@@ -11,14 +11,14 @@ import (
 	"parsecureml/internal/tensor"
 )
 
-// batchJob is one client's inputs plus its serial-path ground truth.
+// batchJob is one client's inputs plus its reference ground truth.
 type batchJob struct {
 	in0, in1 Shares
 	want     *tensor.Matrix
 }
 
 // makeBatchJobs builds `clients` independent requests of one shared
-// geometry, each with its serial reference result.
+// geometry, each with its reference product.
 func makeBatchJobs(t *testing.T, p *rng.Pool, clients, m, k, n int) []batchJob {
 	t.Helper()
 	jobs := make([]batchJob, clients)
@@ -29,14 +29,14 @@ func makeBatchJobs(t *testing.T, p *rng.Pool, clients, m, k, n int) []batchJob {
 		a0, a1 := SplitRand(p, a)
 		b0, b1 := SplitRand(p, b)
 		jobs[i] = batchJob{in0: Shares{A: a0, B: b0, T: t0}, in1: Shares{A: a1, B: b1, T: t1}}
-		jobs[i].want = serialReference(t, jobs[i].in0, jobs[i].in1)
+		jobs[i].want = referenceProduct(t, jobs[i].in0, jobs[i].in1)
 	}
 	return jobs
 }
 
 // TestBatchedBitIdentical is the tentpole's correctness drill: B clients
 // of identical geometry fired concurrently through the batching scheduler
-// produce results byte-identical to their own serial references, and the
+// produce results byte-identical to their own reference products, and the
 // batch counters show the requests actually travelled the stacked path.
 func TestBatchedBitIdentical(t *testing.T) {
 	const clients = 6
@@ -73,7 +73,7 @@ func TestBatchedBitIdentical(t *testing.T) {
 				return
 			}
 			if !got.Equal(j.want) {
-				t.Errorf("batched result differs from serial reference by %v", got.MaxAbsDiff(j.want))
+				t.Errorf("batched result differs from the reference by %v", got.MaxAbsDiff(j.want))
 			}
 		}(jobs[i])
 	}
@@ -209,7 +209,7 @@ func TestBatchedSurvivesClientKill(t *testing.T) {
 				return
 			}
 			if !got.Equal(j.want) {
-				t.Errorf("survivor result differs from serial reference by %v", got.MaxAbsDiff(j.want))
+				t.Errorf("survivor result differs from the reference by %v", got.MaxAbsDiff(j.want))
 			}
 		}(i, jobs[i])
 	}

@@ -12,54 +12,78 @@ import (
 	"parsecureml/internal/tensor"
 )
 
-// startServePair is servePair for any testing.TB (benchmarks included):
-// both parties as concurrent accept loops over a real TCP peer link.
+// startServePair boots both parties as ServeClients accept loops over a
+// loopback TCP peer link — buffered like production, so an orphaned
+// exchange frame can sit in the socket between sessions — and returns the
+// client-facing addresses plus a shutdown func.
 func startServePair(tb testing.TB, cfg ServeConfig) (addr0, addr1 string, shutdown func()) {
 	tb.Helper()
-	peerLn, err := comm.Listen("127.0.0.1:0")
-	if err != nil {
-		tb.Fatal(err)
-	}
-	ln0, err := comm.Listen("127.0.0.1:0")
-	if err != nil {
-		tb.Fatal(err)
-	}
-	ln1, err := comm.Listen("127.0.0.1:0")
-	if err != nil {
-		tb.Fatal(err)
+	return startServePairCfgs(tb, cfg, cfg)
+}
+
+// startServePairCfgs is startServePair with per-party configs.
+func startServePairCfgs(tb testing.TB, cfg0, cfg1 ServeConfig) (addr0, addr1 string, shutdown func()) {
+	tb.Helper()
+	peer0, peer1 := tcpPeerLink(tb, nil)
+	return startServePairOn(tb, [2]ServeConfig{cfg0, cfg1}, [2]comm.Framer{peer0, peer1})
+}
+
+// startServePairOn runs party i's ServeClients loop with cfgs[i] over
+// peers[i], the two ends of an established peer link.
+func startServePairOn(tb testing.TB, cfgs [2]ServeConfig, peers [2]comm.Framer) (addr0, addr1 string, shutdown func()) {
+	tb.Helper()
+	var lns [2]net.Listener
+	for i := range lns {
+		ln, err := comm.Listen("127.0.0.1:0")
+		if err != nil {
+			tb.Fatal(err)
+		}
+		lns[i] = ln
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		peer, err := comm.Accept(peerLn)
-		peerLn.Close()
-		if err != nil {
-			tb.Errorf("peer accept: %v", err)
-			return
-		}
-		defer peer.Close()
-		if err := ServeClients(ctx, 0, ln0, peer, cfg); err != nil {
-			tb.Errorf("server 0: %v", err)
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		peer, err := comm.DialRetry(peerLn.Addr().String(), comm.RetryConfig{Attempts: 10, BaseDelay: 10 * time.Millisecond})
-		if err != nil {
-			tb.Errorf("peer dial: %v", err)
-			return
-		}
-		defer peer.Close()
-		if err := ServeClients(ctx, 1, ln1, peer, cfg); err != nil {
-			tb.Errorf("server 1: %v", err)
-		}
-	}()
-	return ln0.Addr().String(), ln1.Addr().String(), func() {
+	for party := range lns {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := ServeClients(ctx, party, lns[party], peers[party], cfgs[party]); err != nil {
+				tb.Errorf("server %d: %v", party, err)
+			}
+		}()
+	}
+	return lns[0].Addr().String(), lns[1].Addr().String(), func() {
 		cancel()
 		wg.Wait()
 	}
+}
+
+// tcpPeerLink returns both ends of a loopback TCP link; wrap, when
+// non-nil, interposes on each raw connection (fault injection).
+func tcpPeerLink(tb testing.TB, wrap func(net.Conn) net.Conn) (c0, c1 *comm.Conn) {
+	tb.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		c, _ := ln.Accept()
+		accepted <- c
+	}()
+	raw1, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	raw0 := <-accepted
+	if raw0 == nil {
+		raw1.Close()
+		tb.Fatal("peer accept failed")
+	}
+	if wrap != nil {
+		raw0, raw1 = wrap(raw0), wrap(raw1)
+	}
+	return comm.Wrap(raw0), comm.Wrap(raw1)
 }
 
 // dialPair connects one client to both parties with generous deadlines.
@@ -79,33 +103,10 @@ func dialPair(tb testing.TB, addr0, addr1 string) (c0, c1 *comm.Conn) {
 	return c0, c1
 }
 
-// serialReference computes the ground truth for one request the way the
-// pre-mux serving stack did: ServeLoop on both ends of dedicated pipes.
-func serialReference(tb testing.TB, in0, in1 Shares) *tensor.Matrix {
-	tb.Helper()
-	client0a, client0b := comm.Pipe()
-	client1a, client1b := comm.Pipe()
-	peerA, peerB := comm.Pipe()
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() { defer wg.Done(); ServeLoop(0, client0b, peerA) }()
-	go func() { defer wg.Done(); ServeLoop(1, client1b, peerB) }()
-	want, err := RequestMul(client0a, client1a, in0, in1)
-	if err != nil {
-		tb.Fatalf("serial reference: %v", err)
-	}
-	client0a.Close()
-	client1a.Close()
-	wg.Wait()
-	peerA.Close()
-	peerB.Close()
-	return want
-}
-
-// TestConcurrentServeMatchesSerial pins the tentpole's correctness bar:
-// a request served through the multiplexed concurrent stack returns a
-// result bit-identical to the dedicated-connection serial path, on both
-// the serial and the wire-pipelined peer protocols.
+// TestConcurrentServeMatchesSerial pins the correctness bar of the
+// multiplexed concurrent stack: a request it serves returns a result
+// bit-identical to the reference exchange, with whole-matrix bands (the
+// serial case: one E frame each way) and with 8-row bands.
 func TestConcurrentServeMatchesSerial(t *testing.T) {
 	p := rng.NewPool(123)
 	a := p.NewUniform(24, 16, -1, 1)
@@ -115,14 +116,14 @@ func TestConcurrentServeMatchesSerial(t *testing.T) {
 	b0, b1 := SplitRand(p, b)
 	in0 := Shares{A: a0, B: b0, T: t0}
 	in1 := Shares{A: a1, B: b1, T: t1}
-	want := serialReference(t, in0, in1)
+	want := referenceProduct(t, in0, in1)
 
 	for _, tc := range []struct {
 		name string
-		wire *WireConfig
+		wire WireConfig
 	}{
-		{"serial", nil},
-		{"wire", &WireConfig{ChunkRows: 8}},
+		{"serial", WireConfig{}},
+		{"wire", WireConfig{ChunkRows: 8}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			addr0, addr1, shutdown := startServePair(t, ServeConfig{
@@ -139,7 +140,7 @@ func TestConcurrentServeMatchesSerial(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !got.Equal(want) {
-				t.Fatalf("concurrent-path result differs from serial path by %v", got.MaxAbsDiff(want))
+				t.Fatalf("concurrent-path result differs from the reference by %v", got.MaxAbsDiff(want))
 			}
 		})
 	}
@@ -147,7 +148,7 @@ func TestConcurrentServeMatchesSerial(t *testing.T) {
 
 // TestConcurrentSessionsBitIdentical runs 8 clients concurrently —
 // distinct inputs, interleaved mux sub-streams on one peer link — and
-// checks every result is bit-identical to its own serial reference.
+// checks every result is bit-identical to its own reference product.
 func TestConcurrentSessionsBitIdentical(t *testing.T) {
 	const clients, rounds = 8, 3
 	p := rng.NewPool(321)
@@ -164,7 +165,7 @@ func TestConcurrentSessionsBitIdentical(t *testing.T) {
 		a0, a1 := SplitRand(p, a)
 		b0, b1 := SplitRand(p, b)
 		jobs[i] = job{in0: Shares{A: a0, B: b0, T: t0}, in1: Shares{A: a1, B: b1, T: t1}}
-		jobs[i].want = serialReference(t, jobs[i].in0, jobs[i].in1)
+		jobs[i].want = referenceProduct(t, jobs[i].in0, jobs[i].in1)
 	}
 
 	addr0, addr1, shutdown := startServePair(t, ServeConfig{
@@ -190,7 +191,7 @@ func TestConcurrentSessionsBitIdentical(t *testing.T) {
 					return
 				}
 				if !got.Equal(j.want) {
-					t.Errorf("concurrent result differs from serial reference by %v", got.MaxAbsDiff(j.want))
+					t.Errorf("concurrent result differs from the reference by %v", got.MaxAbsDiff(j.want))
 					return
 				}
 			}

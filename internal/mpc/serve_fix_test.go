@@ -15,47 +15,57 @@ import (
 // pinned at their high-water mark.
 
 // TestErroredRequestStillObservesLatency: a request that fails
-// mid-protocol must still land a sample in the request-latency histogram.
-// Before the fix the spans were only stopped on the success path, so
-// incident-time scrapes under-reported exactly the failing traffic.
+// mid-protocol must still land a sample in the request-latency histogram
+// — incident-time scrapes must not under-report exactly the failing
+// traffic. Both failure kinds leave serveMuxLoop through its one error
+// exit: a malformed request (decode) and a request whose peer half never
+// arrives (the exchange times out). Checked with whole-matrix bands (the
+// serial case) and with 8-row bands.
 func TestErroredRequestStillObservesLatency(t *testing.T) {
-	garbage := append(make([]byte, requestIDBytes), "not a shares payload"...)
-
-	t.Run("serial", func(t *testing.T) {
-		ca, cb := comm.Pipe()
-		defer ca.Close()
-		defer cb.Close()
-		before := metrics.reqSerial.Count()
-		wrote := make(chan error, 1)
-		go func() { wrote <- ca.WriteFrame(garbage) }()
-		if err := ServeTriplet(0, cb, nil); err == nil {
-			t.Fatal("ServeTriplet accepted a malformed request")
-		}
-		if err := <-wrote; err != nil {
-			t.Fatal(err)
-		}
-		if got := metrics.reqSerial.Count(); got != before+1 {
-			t.Fatalf("reqSerial samples %d, want %d: failed request left no latency sample", got, before+1)
-		}
-	})
-
-	t.Run("wire", func(t *testing.T) {
-		ca, cb := comm.Pipe()
-		defer ca.Close()
-		defer cb.Close()
-		before := metrics.reqWire.Count()
-		wrote := make(chan error, 1)
-		go func() { wrote <- ca.WriteFrame(garbage) }()
-		if err := ServeLoopWire(0, cb, nil, WireConfig{}); err == nil {
-			t.Fatal("ServeLoopWire accepted a malformed request")
-		}
-		if err := <-wrote; err != nil {
-			t.Fatal(err)
-		}
-		if got := metrics.reqWire.Count(); got != before+1 {
-			t.Fatalf("reqWire samples %d, want %d: failed request left no latency sample", got, before+1)
-		}
-	})
+	in0, _ := RemoteClientSplit(tensor.New(2, 3), tensor.New(3, 4), newRemoteClient())
+	for _, tc := range []struct {
+		name string
+		wire WireConfig
+	}{
+		{"serial", WireConfig{}},
+		{"wire", WireConfig{ChunkRows: 8}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			addr0, _, shutdown := startServePair(t, ServeConfig{
+				ClientTimeout: 10 * time.Second,
+				PeerTimeout:   300 * time.Millisecond,
+				Wire:          tc.wire,
+			})
+			defer shutdown()
+			for _, frame := range [][]byte{
+				append(make([]byte, requestIDBytes), "not a shares payload"...),
+				EncodeRequest(newRequestID(), in0),
+			} {
+				c, err := comm.DialRetry(addr0, comm.RetryConfig{Attempts: 10, BaseDelay: 10 * time.Millisecond})
+				if err != nil {
+					t.Fatal(err)
+				}
+				c.SetTimeouts(10*time.Second, 10*time.Second)
+				before, errsBefore := metrics.reqWire.Count(), metrics.requestErrors.Value()
+				if err := c.WriteFrame(frame); err != nil {
+					t.Fatal(err)
+				}
+				// The failed request ends the session: the server closes
+				// the connection after observing the request.
+				_, err = c.ReadFrame()
+				c.Close()
+				if err == nil {
+					t.Fatal("failed request was answered")
+				}
+				if got := metrics.reqWire.Count(); got != before+1 {
+					t.Fatalf("reqWire samples %d, want %d: failed request left no latency sample", got, before+1)
+				}
+				if got := metrics.requestErrors.Value(); got != errsBefore+1 {
+					t.Fatalf("request errors %d, want %d", got, errsBefore+1)
+				}
+			}
+		})
+	}
 }
 
 // validGeomShares builds a mutually consistent shares payload:
@@ -151,26 +161,6 @@ func TestShrinkScratch(t *testing.T) {
 	}
 	if got := metrics.bufShrinks.Value(); got != before+1 {
 		t.Errorf("psml_buf_shrinks_total moved by %d, want 1", got-before)
-	}
-}
-
-// TestTaggedConnReleasesScratchAtRequestBoundary: the per-request peer
-// wrapper lets go of receive scratch grown by one oversized exchange when
-// the next request starts small.
-func TestTaggedConnReleasesScratchAtRequestBoundary(t *testing.T) {
-	cold := &taggedConn{rbuf: make([]byte, 2*bufShrinkCap), used: 100}
-	cold.setID(1)
-	if cold.rbuf != nil {
-		t.Error("oversized receive scratch survived the request boundary")
-	}
-	if cold.used != 0 {
-		t.Error("high-water mark not reset at the request boundary")
-	}
-	hot := &taggedConn{rbuf: make([]byte, 2*bufShrinkCap)}
-	hot.used = cap(hot.rbuf)
-	hot.setID(2)
-	if hot.rbuf == nil {
-		t.Error("receive scratch the last request filled was dropped")
 	}
 }
 

@@ -1,8 +1,8 @@
 package mpc
 
 import (
-	"sync"
 	"testing"
+	"time"
 
 	"parsecureml/internal/comm"
 	"parsecureml/internal/rng"
@@ -48,48 +48,50 @@ func TestDecodeSharesErrors(t *testing.T) {
 	}
 }
 
-// Full service topology in-process: a client drives two serving parties
-// that exchange between themselves, over three pipe pairs, for several
-// multiplications on one session.
+// Full service topology: a client drives two serving parties that
+// exchange between themselves over a multiplexed TCP peer link, for
+// several multiplications on one session; every product is bit-identical
+// to the reference exchange.
 func TestServeLoopEndToEnd(t *testing.T) {
-	client0a, client0b := comm.Pipe() // client <-> server0
-	client1a, client1b := comm.Pipe() // client <-> server1
-	peerA, peerB := comm.Pipe()       // server0 <-> server1
+	checkServedProducts(t, WireConfig{}, WireConfig{})
+}
 
-	var wg sync.WaitGroup
-	wg.Add(2)
-	var err0, err1 error
-	go func() {
-		defer wg.Done()
-		err0 = ServeLoop(0, client0b, peerA)
-	}()
-	go func() {
-		defer wg.Done()
-		err1 = ServeLoop(1, client1b, peerB)
-	}()
+// The same session on banded exchanges: equal band heights, and heights
+// the parties pick independently (each band's height rides its frame).
+func TestServeLoopWireEndToEnd(t *testing.T) {
+	checkServedProducts(t, WireConfig{ChunkRows: 6}, WireConfig{ChunkRows: 6})
+	checkServedProducts(t, WireConfig{ChunkRows: 3}, WireConfig{ChunkRows: 8})
+}
 
+// checkServedProducts serves three RequestMuls on one session through a
+// ServeClients pair whose party i runs wire[i].
+func checkServedProducts(t *testing.T, wire0, wire1 WireConfig) {
+	t.Helper()
+	addr0, addr1, shutdown := startServePairCfgs(t,
+		ServeConfig{ClientTimeout: 10 * time.Second, PeerTimeout: 10 * time.Second, Wire: wire0},
+		ServeConfig{ClientTimeout: 10 * time.Second, PeerTimeout: 10 * time.Second, Wire: wire1})
+	defer shutdown()
+	c0, c1 := dialPair(t, addr0, addr1)
+	defer c0.Close()
+	defer c1.Close()
 	client := newRemoteClient()
 	p := rng.NewPool(3)
 	for round := 0; round < 3; round++ {
 		a := p.NewUniform(7+round, 9, -1, 1)
 		b := p.NewUniform(9, 5, -1, 1)
 		in0, in1 := RemoteClientSplit(a, b, client)
-		got, err := RequestMul(client0a, client1a, in0, in1)
+		got, err := RequestMul(c0, c1, in0, in1)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if want := referenceProduct(t, in0, in1); !got.Equal(want) {
+			t.Fatalf("bands %d/%d round %d: served product differs from the reference by %v",
+				wire0.ChunkRows, wire1.ChunkRows, round, got.MaxAbsDiff(want))
 		}
 		if !got.ApproxEqual(tensor.MulNaive(a, b), 1e-3) {
 			t.Fatalf("round %d: served product off by %v", round, got.MaxAbsDiff(tensor.MulNaive(a, b)))
 		}
 	}
-	client0a.Close()
-	client1a.Close()
-	wg.Wait()
-	if err0 != nil || err1 != nil {
-		t.Fatalf("server loops: %v / %v", err0, err1)
-	}
-	peerA.Close()
-	peerB.Close()
 }
 
 func TestHelloHandshake(t *testing.T) {

@@ -2,6 +2,7 @@ package mpc
 
 import (
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -12,54 +13,32 @@ import (
 )
 
 // The wire double pipeline must be a pure transport optimization: every
-// share it produces is bit-identical to the serial protocol's, over
-// in-memory pipes, real TCP, and a fault-injected link.
+// share it produces is bit-identical to the reference exchange's
+// (remoteParty), over in-memory pipes, real TCP, and a fault-injected
+// link, whatever band heights the two parties pick.
 
-// runPipelinedPair executes both pipelined parties concurrently and
-// returns their shares.
-func runPipelinedPair(t *testing.T, c0, c1 comm.Framer, in0, in1 Shares, cfg WireConfig) (*tensor.Matrix, *tensor.Matrix) {
+// runPipelinedPair executes both pipelined parties concurrently, party 0
+// under cfg0 and party 1 under cfg1, and returns their shares.
+func runPipelinedPair(t *testing.T, c0, c1 comm.Framer, in0, in1 Shares, cfg0, cfg1 WireConfig) (*tensor.Matrix, *tensor.Matrix) {
 	t.Helper()
+	w0, w1 := newWireMul(0, cfg0), newWireMul(1, cfg1)
+	defer w0.close()
+	defer w1.close()
 	var wg sync.WaitGroup
 	var r0, r1 *tensor.Matrix
 	var e0, e1 error
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		r0, e0 = RemotePartyPipelined(0, c0, in0, cfg)
+		r0, e0 = w0.mul(c0, in0.A, in0.B, in0.T)
 	}()
 	go func() {
 		defer wg.Done()
-		r1, e1 = RemotePartyPipelined(1, c1, in1, cfg)
+		r1, e1 = w1.mul(c1, in1.A, in1.B, in1.T)
 	}()
 	wg.Wait()
 	if e0 != nil || e1 != nil {
 		t.Fatalf("pipelined parties failed: %v / %v", e0, e1)
-	}
-	return r0, r1
-}
-
-// serialShares runs the serial protocol over a fresh pipe and returns both
-// parties' shares (runRemotePair merges them; parity needs them raw).
-func serialShares(t *testing.T, in0, in1 Shares) (*tensor.Matrix, *tensor.Matrix) {
-	t.Helper()
-	c0, c1 := comm.Pipe()
-	defer c0.Close()
-	defer c1.Close()
-	var wg sync.WaitGroup
-	var r0, r1 *tensor.Matrix
-	var e0, e1 error
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		r0, e0 = RemoteParty(0, c0, in0)
-	}()
-	go func() {
-		defer wg.Done()
-		r1, e1 = RemoteParty(1, c1, in1)
-	}()
-	wg.Wait()
-	if e0 != nil || e1 != nil {
-		t.Fatalf("serial parties failed: %v / %v", e0, e1)
 	}
 	return r0, r1
 }
@@ -70,19 +49,65 @@ func TestWirePipelineParityOverPipe(t *testing.T) {
 	b := p.NewUniform(21, 9, -1, 1)
 	client := newRemoteClient()
 	in0, in1 := RemoteClientSplit(a, b, client)
-	want0, want1 := serialShares(t, in0, in1)
+	want0, want1 := referenceShares(t, in0, in1)
 
-	// Band heights below, at, and above the row count, plus the
-	// whole-matrix default.
-	for _, chunk := range []int{0, 1, 4, 5, 13, 64} {
+	// Band heights below, at, and above the row count, the whole-matrix
+	// default, and heights the parties pick independently (band height is
+	// sender-local: each band's height rides its frame header).
+	for _, rows := range [][2]int{{0, 0}, {1, 1}, {4, 4}, {5, 5}, {13, 13}, {64, 64}, {3, 8}, {8, 3}, {0, 5}} {
 		c0, c1 := comm.Pipe()
-		cfg := WireConfig{ChunkRows: chunk}
-		got0, got1 := runPipelinedPair(t, c0, c1, in0, in1, cfg)
+		got0, got1 := runPipelinedPair(t, c0, c1, in0, in1,
+			WireConfig{ChunkRows: rows[0]}, WireConfig{ChunkRows: rows[1]})
 		c0.Close()
 		c1.Close()
 		if !got0.Equal(want0) || !got1.Equal(want1) {
-			t.Fatalf("ChunkRows=%d: pipelined shares differ from serial", chunk)
+			t.Fatalf("bands %d/%d: pipelined shares differ from the reference", rows[0], rows[1])
 		}
+	}
+}
+
+// A peer band whose header claims no rows, more rows than are still
+// expected, or the wrong width is refused instead of mis-fused.
+func TestWirePipelineRejectsBadBandHeader(t *testing.T) {
+	const m, k, n = 6, 4, 3
+	p := rng.NewPool(47)
+	in0, _ := RemoteClientSplit(p.NewUniform(m, k, -1, 1), p.NewUniform(k, n, -1, 1), newRemoteClient())
+	for _, tc := range []struct {
+		name  string
+		bands []*tensor.Matrix
+	}{
+		{"empty", []*tensor.Matrix{tensor.New(0, k)}},
+		{"too tall", []*tensor.Matrix{tensor.New(4, k), tensor.New(3, k)}},
+		{"wrong width", []*tensor.Matrix{tensor.New(m, k+1)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c0, c1 := comm.Pipe()
+			defer c0.Close()
+			defer c1.Close()
+			// The fake peer drains what party 0 sends and answers with a
+			// valid F frame followed by the bad bands.
+			go func() {
+				for {
+					if _, err := c1.ReadFrame(); err != nil {
+						return
+					}
+				}
+			}()
+			go func() {
+				c1.WriteFrame(tensor.EncodeMatrix(nil, tensor.New(k, n)))
+				for _, band := range tc.bands {
+					if c1.WriteFrame(tensor.EncodeMatrix(nil, band)) != nil {
+						return
+					}
+				}
+			}()
+			w := newWireMul(0, WireConfig{})
+			defer w.close()
+			_, err := w.mul(c0, in0.A, in0.B, in0.T)
+			if err == nil || !strings.Contains(err.Error(), "E band") {
+				t.Fatalf("bad band header accepted: %v", err)
+			}
+		})
 	}
 }
 
@@ -92,34 +117,15 @@ func TestWirePipelineParityOverTCP(t *testing.T) {
 	b := p.NewUniform(24, 17, -1, 1)
 	client := newRemoteClient()
 	in0, in1 := RemoteClientSplit(a, b, client)
-	want0, want1 := serialShares(t, in0, in1)
+	want0, want1 := referenceShares(t, in0, in1)
 
-	ln, err := comm.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	acceptCh := make(chan *comm.Conn, 1)
-	go func() {
-		c, err := comm.Accept(ln)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		acceptCh <- c
-	}()
-	c1, err := comm.Dial(ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c1.Close()
-	c0 := <-acceptCh
+	c0, c1 := tcpPeerLink(t, nil)
 	defer c0.Close()
-
+	defer c1.Close()
 	cfg := WireConfig{ChunkRows: 8}
-	got0, got1 := runPipelinedPair(t, c0, c1, in0, in1, cfg)
+	got0, got1 := runPipelinedPair(t, c0, c1, in0, in1, cfg, cfg)
 	if !got0.Equal(want0) || !got1.Equal(want1) {
-		t.Fatal("TCP pipelined shares differ from serial")
+		t.Fatal("TCP pipelined shares differ from the reference")
 	}
 }
 
@@ -129,7 +135,7 @@ func TestWirePipelineParityUnderFaultDelays(t *testing.T) {
 	b := p.NewUniform(11, 7, -1, 1)
 	client := newRemoteClient()
 	in0, in1 := RemoteClientSplit(a, b, client)
-	want0, want1 := serialShares(t, in0, in1)
+	want0, want1 := referenceShares(t, in0, in1)
 
 	raw0, raw1 := net.Pipe()
 	f0 := comm.NewFaultConn(raw0)
@@ -142,217 +148,64 @@ func TestWirePipelineParityUnderFaultDelays(t *testing.T) {
 	defer c1.Close()
 
 	cfg := WireConfig{ChunkRows: 3}
-	got0, got1 := runPipelinedPair(t, c0, c1, in0, in1, cfg)
+	got0, got1 := runPipelinedPair(t, c0, c1, in0, in1, cfg, cfg)
 	if !got0.Equal(want0) || !got1.Equal(want1) {
-		t.Fatal("pipelined shares differ from serial under injected faults")
+		t.Fatal("pipelined shares differ from the reference under injected faults")
 	}
 }
 
-// The pipelined multiplication must also hold its own against tagged
-// request framing plus pooled reuse across sequential requests — the
+// The pipelined multiplication must also hold its own on request-tagged
+// mux sub-streams plus pooled reuse across sequential requests — the
 // serving loop's steady-state shape.
 func TestWirePipelineTaggedPooledReuse(t *testing.T) {
 	client := newRemoteClient()
 	p := rng.NewPool(44)
 	peer0, peer1 := comm.Pipe()
-	defer peer0.Close()
-	defer peer1.Close()
+	mux0 := comm.NewMux(peer0, comm.MuxConfig{ReadTimeout: 10 * time.Second})
+	mux1 := comm.NewMux(peer1, comm.MuxConfig{ReadTimeout: 10 * time.Second})
+	defer mux0.Close()
+	defer mux1.Close()
 	w0 := newWireMul(0, WireConfig{ChunkRows: 4})
 	w1 := newWireMul(1, WireConfig{ChunkRows: 4})
-	tc0 := &taggedConn{c: peer0}
-	tc1 := &taggedConn{c: peer1}
+	defer w0.close()
+	defer w1.close()
 
 	for round := 0; round < 4; round++ {
 		a := p.NewUniform(9+round, 6, -1, 1)
 		b := p.NewUniform(6, 5, -1, 1)
 		in0, in1 := RemoteClientSplit(a, b, client)
-		want0, want1 := serialShares(t, in0, in1)
+		want0, want1 := referenceShares(t, in0, in1)
 		id := uint64(round + 100)
-		tc0.setID(id)
-		tc1.setID(id)
+		s0, err := mux0.Open(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s1, err := mux1.Open(id)
+		if err != nil {
+			t.Fatal(err)
+		}
 		var wg sync.WaitGroup
 		var r0, r1 *tensor.Matrix
 		var e0, e1 error
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
-			r0, e0 = w0.mul(tc0, in0.A, in0.B, in0.T, nil, nil)
+			r0, e0 = w0.mul(s0, in0.A, in0.B, in0.T)
 		}()
 		go func() {
 			defer wg.Done()
-			r1, e1 = w1.mul(tc1, in1.A, in1.B, in1.T, nil, nil)
+			r1, e1 = w1.mul(s1, in1.A, in1.B, in1.T)
 		}()
 		wg.Wait()
+		s0.Close()
+		s1.Close()
 		if e0 != nil || e1 != nil {
 			t.Fatalf("round %d: %v / %v", round, e0, e1)
 		}
 		if !r0.Equal(want0) || !r1.Equal(want1) {
-			t.Fatalf("round %d: tagged pooled shares differ from serial", round)
+			t.Fatalf("round %d: tagged pooled shares differ from the reference", round)
 		}
 		w0.put(r0)
 		w1.put(r1)
-	}
-}
-
-// inferSessionFixture builds a deterministic 2-layer session plus request
-// share batches, so the serial and pipelined services can be fed
-// identical bytes.
-type inferSessionFixture struct {
-	s0, s1 []InferLayer
-	xs     [][2]*tensor.Matrix
-	want   []*tensor.Matrix // filled by the serial run
-}
-
-func buildInferFixture(t *testing.T, rounds int) *inferSessionFixture {
-	t.Helper()
-	p := rng.NewPool(7)
-	const batch, in, hidden, out = 8, 12, 10, 4
-	w1 := p.NewUniform(in, hidden, -0.3, 0.3)
-	b1 := p.NewUniform(1, hidden, -0.1, 0.1)
-	w2 := p.NewUniform(hidden, out, -0.3, 0.3)
-	b2 := p.NewUniform(1, out, -0.1, 0.1)
-	client := newRemoteClient()
-	s0, s1 := BuildInferSession(client, batch,
-		[]*tensor.Matrix{w1, w2}, []*tensor.Matrix{b1, b2},
-		[]ActivationKind{ActReLU, ActPiecewise}, []bool{true, true})
-	fx := &inferSessionFixture{s0: s0, s1: s1}
-	for i := 0; i < rounds; i++ {
-		x := p.NewUniform(batch, in, -1, 1)
-		x0, x1, _ := client.Split(x)
-		fx.xs = append(fx.xs, [2]*tensor.Matrix{x0, x1})
-	}
-	return fx
-}
-
-// runInferService drives one full session through the given serving
-// function and returns the merged predictions per round.
-func runInferService(t *testing.T, fx *inferSessionFixture,
-	serve func(party int, client, peer *comm.Conn, masks *rng.Pool) error) []*tensor.Matrix {
-	t.Helper()
-	client0a, client0b := comm.Pipe()
-	client1a, client1b := comm.Pipe()
-	peerA, peerB := comm.Pipe()
-	var wg sync.WaitGroup
-	var err0, err1 error
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		err0 = serve(0, client0b, peerA, rng.NewPool(77))
-	}()
-	go func() {
-		defer wg.Done()
-		err1 = serve(1, client1b, peerB, rng.NewPool(0))
-	}()
-	if err := client0a.WriteFrame(EncodeInferSession(fx.s0)); err != nil {
-		t.Fatal(err)
-	}
-	if err := client1a.WriteFrame(EncodeInferSession(fx.s1)); err != nil {
-		t.Fatal(err)
-	}
-	var preds []*tensor.Matrix
-	for _, x := range fx.xs {
-		got, err := RequestInference(client0a, client1a, x[0], x[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		preds = append(preds, got)
-	}
-	client0a.Close()
-	client1a.Close()
-	wg.Wait()
-	if !isSessionEnd(err0) || !isSessionEnd(err1) {
-		t.Fatalf("serving loops ended badly: %v / %v", err0, err1)
-	}
-	peerA.Close()
-	peerB.Close()
-	return preds
-}
-
-// A whole inference session served on the wire pipeline must return
-// predictions bit-identical to the serial service: same session material,
-// same request shares, same mask seed.
-func TestServeInferenceWireMatchesSerial(t *testing.T) {
-	const rounds = 3
-	fx := buildInferFixture(t, rounds)
-
-	serialPreds := runInferService(t, fx, func(party int, client, peer *comm.Conn, masks *rng.Pool) error {
-		return ServeInference(party, client, peer, masks)
-	})
-	for _, chunk := range []int{0, 3, 8} {
-		cfg := WireConfig{ChunkRows: chunk}
-		wirePreds := runInferService(t, fx, func(party int, client, peer *comm.Conn, masks *rng.Pool) error {
-			return ServeInferenceWire(party, client, peer, masks, cfg)
-		})
-		for i := range serialPreds {
-			if !wirePreds[i].Equal(serialPreds[i]) {
-				t.Fatalf("ChunkRows=%d round %d: wire prediction differs from serial", chunk, i)
-			}
-		}
-	}
-}
-
-// ServeLoopWire end to end: a client's RequestMul against two pipelined
-// serving loops must merge to the true product and bit-match the serial
-// serving loops.
-func TestServeLoopWireEndToEnd(t *testing.T) {
-	p := rng.NewPool(45)
-	client := newRemoteClient()
-	a := p.NewUniform(23, 14, -1, 1)
-	b := p.NewUniform(14, 6, -1, 1)
-	in0, in1 := RemoteClientSplit(a, b, client)
-
-	run := func(loop func(party int, cl, peer comm.Framer) error) *tensor.Matrix {
-		t.Helper()
-		cl0a, cl0b := comm.Pipe()
-		cl1a, cl1b := comm.Pipe()
-		peerA, peerB := comm.Pipe()
-		var wg sync.WaitGroup
-		wg.Add(2)
-		var e0, e1 error
-		go func() { defer wg.Done(); e0 = loop(0, cl0b, peerA) }()
-		go func() { defer wg.Done(); e1 = loop(1, cl1b, peerB) }()
-		got, err := RequestMul(cl0a, cl1a, in0, in1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cl0a.Close()
-		cl1a.Close()
-		wg.Wait()
-		if e0 != nil || e1 != nil {
-			t.Fatalf("serving loops: %v / %v", e0, e1)
-		}
-		peerA.Close()
-		peerB.Close()
-		return got
-	}
-
-	serial := run(func(party int, cl, peer comm.Framer) error {
-		return ServeLoop(party, cl, peer)
-	})
-	cfg := WireConfig{ChunkRows: 6}
-	wire := run(func(party int, cl, peer comm.Framer) error {
-		return ServeLoopWire(party, cl, peer, cfg)
-	})
-	want := tensor.MulNaive(a, b)
-	if !wire.ApproxEqual(want, 1e-3) {
-		t.Fatalf("wire served product off by %v", wire.MaxAbsDiff(want))
-	}
-	if !wire.Equal(serial) {
-		t.Fatal("wire served product differs bitwise from serial")
-	}
-}
-
-// A malformed session (triplet geometry not matching the weights) must be
-// rejected by the wire service with an error, not a kernel panic.
-func TestServeInferenceWireRejectsBadGeometry(t *testing.T) {
-	fx := buildInferFixture(t, 0)
-	bad := make([]InferLayer, len(fx.s0))
-	copy(bad, fx.s0)
-	bad[1].T.U = tensor.New(5, 3) // wrong batch and width
-	if _, err := validateInferLayers(bad); err == nil {
-		t.Fatal("bad triplet geometry must fail validation")
-	}
-	if _, err := validateInferLayers(fx.s0); err != nil {
-		t.Fatalf("valid session rejected: %v", err)
 	}
 }

@@ -8,49 +8,40 @@ import (
 	"parsecureml/internal/tensor"
 )
 
-// Wire double pipeline: the paper's transfer/compute overlap (Figs. 5/6)
-// carried onto the real networked path. The virtual-time scheduler in
+// Wire double pipeline: the paper's intra-op transfer/compute overlap
+// (Fig. 5) carried onto the real networked path, and the only peer
+// framing the serving stack speaks. The virtual-time scheduler in
 // internal/pipeline models the overlap; this file makes it happen on the
-// wall clock between two genuinely concurrent parties:
+// wall clock between two genuinely concurrent parties. One triplet
+// multiplication ships the F share as one frame, then splits the E
+// exchange into row bands. A dedicated sender goroutine streams this
+// party's frames to the peer while the main goroutine folds each arriving
+// peer band into the fused Eq. 8 GEMM — the network transfer of band k
+// overlaps the compute of band k−1, and the two directions of the duplex
+// link run simultaneously instead of in a fixed send-then-receive order.
 //
-//   - Intra-op (Fig. 5 analogue): one triplet multiplication splits the
-//     E exchange into row bands. A dedicated sender goroutine streams this
-//     party's bands to the peer while the main goroutine folds each
-//     arriving peer band into the fused Eq. 8 GEMM — the network transfer
-//     of band k overlaps the compute of band k−1, and the two directions
-//     of the duplex link run simultaneously instead of in the serial
-//     path's fixed send-then-receive order.
-//
-//   - Cross-layer (Fig. 6 analogue): within an inference session F = W−V
-//     comes entirely from the session-fixed weights and triplets, so the
-//     public F of every layer is reconstructed once at session setup and
-//     cached; per-request traffic is the E stream only. The activation
-//     reveal collapses from three dependent frames to one concurrent
-//     frame each way (party 1's post-activation share is just the mask R,
-//     which party 0 can generate and ship before the pre-activation
-//     exchange completes).
-//
-// All per-request matrices come from a tensor.Pool and all frame buffers
-// are session-scoped scratch, so the steady-state serving path does
-// near-zero allocations per request.
+// Band height is a sender-local choice: every band is a self-describing
+// tensor frame, and the receiver takes each band's row count from its
+// header. All per-request matrices come from a tensor.Pool and all frame
+// buffers are session-scoped scratch, so the steady-state serving path
+// does near-zero allocations per request.
 
 // WireConfig tunes the networked double pipeline. The zero value selects
-// whole-matrix bands (full-duplex exchange, no intra-op banding) and a
-// private pool per serving loop.
+// whole-matrix bands (full-duplex exchange, no intra-op banding), the raw
+// codec, and one pool shared by every session of a serving loop.
 type WireConfig struct {
-	// ChunkRows is the row-band height of the streamed E exchange: party
-	// i ships band k while fusing band k−1 into the GEMM. <= 0 uses one
-	// whole-matrix band. Both parties must agree on the value — band
-	// boundaries are part of the wire protocol.
+	// ChunkRows is the row-band height this party streams its E share in:
+	// it ships band k while fusing the peer's band k−1 into the GEMM.
+	// <= 0 uses one whole-matrix band. The peer need not agree — it reads
+	// each band's height from the frame.
 	ChunkRows int
-	// Pool recycles per-request matrices. nil lets each serving loop
-	// create its own.
+	// Pool recycles per-request matrices. nil lets ServeClients create one
+	// for all its sessions.
 	Pool *tensor.Pool
 	// Codec, when non-nil, adaptively compresses the revealed E/F tensors
 	// on the wire (FP16/CSR, see wirecodec.go) when the link byte budget
 	// makes it pay. Frames are self-describing, so receivers need no
-	// matching setting; raw shares (activation reveals, session F setup)
-	// are never lossy-encoded. nil sends everything raw.
+	// matching setting. nil sends everything raw.
 	Codec *WireCodec
 }
 
@@ -74,6 +65,19 @@ func readFrameInto(conn comm.Framer, buf []byte) ([]byte, error) {
 	return conn.ReadFrame()
 }
 
+// bandHeight validates an E band frame's header against the exchange:
+// 1 ≤ rows ≤ left (the rows still expected) and cols == k.
+func bandHeight(frame []byte, left, k int) (int, error) {
+	rows, cols, err := tensor.FrameShape(frame)
+	if err != nil {
+		return 0, err
+	}
+	if rows < 1 || rows > left || cols != k {
+		return 0, fmt.Errorf("mpc: E band is %dx%d, want 1..%d rows of %d", rows, cols, left, k)
+	}
+	return rows, nil
+}
+
 // wireMul is the reusable state for pipelined exchanges over one peer
 // link: encode/decode scratch, pooled band buffers, and the sender
 // goroutine's arguments. One wireMul serves a whole session; it is not
@@ -89,24 +93,23 @@ type wireMul struct {
 	kick    chan struct{} // arms the persistent sender goroutine; closed by close()
 	done    chan error    // sender completion, buffered so senders never leak
 
-	// Sender arguments, set before the kick. sHead (optional) goes out
-	// first as one whole frame; sE (optional) follows as row bands. The
-	// per-tensor codec kinds are picked by the main goroutine before the
-	// kick (any FP16 rounding of the retained share happens there too, so
-	// both parties use what they ship). sentBytes is written by the
-	// sender and read by the main goroutine only after draining done.
+	// Sender arguments, set before the kick: sF goes out first as one
+	// whole frame, sE follows as row bands of sBand rows. The per-tensor
+	// codec kinds are picked by the main goroutine before the kick (any
+	// FP16 rounding of the retained share happens there too, so both
+	// parties use what they ship). sentBytes is written by the sender and
+	// read by the main goroutine only after draining done.
 	sconn     comm.Framer
-	sHead     *tensor.Matrix
-	sE        *tensor.Matrix
+	sF, sE    *tensor.Matrix
 	sBand     int
-	sHeadKind wireCodecKind
+	sFKind    wireCodecKind
 	sEKind    wireCodecKind
 	sentBytes int
 	sView     tensor.Matrix // sender-side band view (sender goroutine only)
 
 	// Persistent band-view headers (main goroutine only): retargeted with
 	// SliceRowsInto each band instead of allocating a header per band.
-	pbView, eView, dView, cView, aView, eiView, zView tensor.Matrix
+	pbView, dView, cView, aView, eiView, zView tensor.Matrix
 }
 
 func newWireMul(party int, cfg WireConfig) *wireMul {
@@ -136,16 +139,10 @@ func (w *wireMul) senderLoop() {
 }
 
 func (w *wireMul) runSender() error {
-	w.sentBytes = 0
-	if w.sHead != nil {
-		w.sendBuf = appendWireTensor(w.sendBuf[:0], w.sHead, w.sHeadKind)
-		w.sentBytes += len(w.sendBuf)
-		if err := w.sconn.WriteFrame(w.sendBuf); err != nil {
-			return err
-		}
-	}
-	if w.sE == nil {
-		return nil
+	w.sendBuf = appendWireTensor(w.sendBuf[:0], w.sF, w.sFKind)
+	w.sentBytes = len(w.sendBuf)
+	if err := w.sconn.WriteFrame(w.sendBuf); err != nil {
+		return err
 	}
 	rows := w.sE.Rows
 	for lo := 0; lo < rows; lo += w.sBand {
@@ -159,44 +156,30 @@ func (w *wireMul) runSender() error {
 	return nil
 }
 
-// launch arms the sender goroutine with head+bands (and their picked
-// codec kinds) and kicks it.
-func (w *wireMul) launch(conn comm.Framer, head, bands *tensor.Matrix, bandRows int, headKind, bandKind wireCodecKind) {
-	w.sconn, w.sHead, w.sE, w.sBand = conn, head, bands, bandRows
-	w.sHeadKind, w.sEKind = headKind, bandKind
-	w.kick <- struct{}{}
-}
-
 // mul executes this party's side of one banded triplet multiplication
-// C_i = ((−i)·E + A_i)×F + E×B_i + Z_i over conn. This party's E share
-// streams to the peer band by band while the peer's arriving bands are
-// fused into the Eq. 8 GEMM — transfer and compute overlap inside one
-// multiplication. The result is bit-identical to the serial RemoteParty.
-//
-// fPub, when non-nil, is the session-cached public F and no F frames move
-// (the inference fast path); when nil the F shares are exchanged ahead of
-// the E bands. dst, when non-nil, receives the result (a.Rows×b.Cols);
-// when nil a pooled matrix is returned — callers give it back with
-// ReleaseTo or keep it.
+// C_i = ((−i)·E + A_i)×F + E×B_i + Z_i over conn. This party's F share
+// goes out as one frame and its E share streams band by band, while the
+// peer's arriving bands are fused into the Eq. 8 GEMM — transfer and
+// compute overlap inside one multiplication. Each public tensor is
+// reconstructed in place into the buffer its peer share was decoded
+// into, and party 0 multiplies its A rows directly (its D is A_0), so the
+// working set is the local E/F shares, one peer band, and C. The result
+// is a pooled matrix; callers give it back with put or keep it.
 //
 // With cfg.Codec nil (or picking raw) the result is bit-identical to the
-// serial RemoteParty. A lossy (FP16) pick perturbs only the REVEALED E/F
-// difference shares — the retained copy is rounded in place before the
-// sender starts, so both parties reconstruct the same public tensors and
-// the result carries the documented reveal-only tolerance instead of a
-// protocol desync.
-func (w *wireMul) mul(conn comm.Framer, a, b *tensor.Matrix, t TripletShares, fPub, dst *tensor.Matrix) (*tensor.Matrix, error) {
+// textbook two-party Beaver exchange. A lossy (FP16) pick perturbs only
+// the REVEALED E/F difference shares — the retained copy is rounded in
+// place before the sender starts, so both parties reconstruct the same
+// public tensors and the result carries the documented reveal-only
+// tolerance instead of a protocol desync.
+func (w *wireMul) mul(conn comm.Framer, a, b *tensor.Matrix, t TripletShares) (*tensor.Matrix, error) {
 	m, k, n := a.Rows, a.Cols, b.Cols
-	band := w.cfg.bandRows(m)
 
 	// Local shares (Eq. 4): E_i = A_i − U_i, F_i = B_i − V_i.
 	ei := w.get(m, k)
 	tensor.Sub(ei, a, t.U)
-	var fi *tensor.Matrix
-	if fPub == nil {
-		fi = w.get(k, n)
-		tensor.Sub(fi, b, t.V)
-	}
+	fi := w.get(k, n)
+	tensor.Sub(fi, b, t.V)
 	// Codec election, then use-what-you-ship: an FP16 pick rounds the
 	// retained share in place BEFORE the sender goroutine starts, so the
 	// local reconstruction sees exactly the values the peer receives (and
@@ -207,14 +190,14 @@ func (w *wireMul) mul(conn comm.Framer, a, b *tensor.Matrix, t TripletShares, fP
 		if eKind == codecFP16 {
 			tensor.RoundMatrixFloat16InPlace(ei)
 		}
-		if fi != nil {
-			fKind = wc.pick(fi, tensorF)
-			if fKind == codecFP16 {
-				tensor.RoundMatrixFloat16InPlace(fi)
-			}
+		fKind = wc.pick(fi, tensorF)
+		if fKind == codecFP16 {
+			tensor.RoundMatrixFloat16InPlace(fi)
 		}
 	}
-	w.launch(conn, fi, ei, band, fKind, eKind)
+	w.sconn, w.sF, w.sE, w.sBand = conn, fi, ei, w.cfg.bandRows(m)
+	w.sFKind, w.sEKind = fKind, eKind
+	w.kick <- struct{}{}
 
 	// Per-phase accumulators: the banded loop interleaves transfer waits,
 	// Eq. 5 reconstruction, and Eq. 8 compute, so each is summed across
@@ -222,86 +205,83 @@ func (w *wireMul) mul(conn comm.Framer, a, b *tensor.Matrix, t TripletShares, fP
 	// reads, no allocation).
 	var exchDur, reconDur, gemmDur time.Duration
 
-	// Public F (Eq. 5) — from cache, or the head frame of each stream.
-	f := fPub
-	if f == nil {
-		t0 := time.Now()
-		frame, err := readFrameInto(conn, w.recvBuf)
-		exchDur += time.Since(t0)
-		if err != nil {
-			return nil, fmt.Errorf("mpc: recv F: %w", err)
-		}
-		w.recvBuf = frame
-		peerF := w.get(k, n)
-		// Tag-dispatched: the peer's codec choice is sender-local, the
-		// frame says what it is (raw senders emit plain 'D' frames).
-		if _, err := tensor.DecodeAnyInto(peerF, frame); err != nil {
-			return nil, fmt.Errorf("mpc: decode peer F: %w", err)
-		}
-		t0 = time.Now()
-		f = w.get(k, n)
-		tensor.Add(f, fi, peerF)
-		reconDur += time.Since(t0)
-		w.put(peerF)
+	// Public F (Eq. 5), the head frame of each stream. Tag-dispatched: the
+	// peer's codec choice is sender-local, the frame says what it is.
+	t0 := time.Now()
+	frame, err := readFrameInto(conn, w.recvBuf)
+	exchDur += time.Since(t0)
+	if err != nil {
+		return nil, fmt.Errorf("mpc: recv F: %w", err)
 	}
+	w.recvBuf = frame
+	f := w.get(k, n)
+	if _, err := tensor.DecodeAnyInto(f, frame); err != nil {
+		return nil, fmt.Errorf("mpc: decode peer F: %w", err)
+	}
+	t0 = time.Now()
+	tensor.Add(f, fi, f)
+	reconDur += time.Since(t0)
 
-	c := dst
-	if c == nil {
-		c = w.get(m, n)
-	}
-	peerBand := w.get(band, k)
-	eBandBuf := w.get(band, k)
-	dBandBuf := w.get(band, k)
-	for lo := 0; lo < m; lo += band {
-		hi := min(lo+band, m)
-		rows := hi - lo
+	c := w.get(m, n)
+	// The peer band buffer (and party 1's D band) grow to the tallest band
+	// the peer sends; pooled, so the steady state reuses one of each.
+	var peerBand, dBuf *tensor.Matrix
+	for lo, band := 0, 0; lo < m; band++ {
 		t0 := time.Now()
 		frame, err := readFrameInto(conn, w.recvBuf)
 		exchDur += time.Since(t0)
 		if err != nil {
-			return nil, fmt.Errorf("mpc: recv E band %d: %w", lo/band, err)
+			return nil, fmt.Errorf("mpc: recv E band %d: %w", band, err)
 		}
 		w.recvBuf = frame
-		pb := peerBand.SliceRowsInto(&w.pbView, 0, rows)
-		if _, err := tensor.DecodeAnyInto(pb, frame); err != nil {
-			return nil, fmt.Errorf("mpc: decode E band %d: %w", lo/band, err)
+		rows, err := bandHeight(frame, m-lo, k)
+		if err != nil {
+			return nil, fmt.Errorf("mpc: E band %d: %w", band, err)
 		}
-		// Reconstruct the band of the public E and fuse it (Eqs. 5, 8).
+		if peerBand == nil || rows > peerBand.Rows {
+			w.put(peerBand)
+			peerBand = w.get(rows, k)
+			if w.party == 1 {
+				w.put(dBuf)
+				dBuf = w.get(rows, k)
+			}
+		}
+		hi := lo + rows
+		eBand := peerBand.SliceRowsInto(&w.pbView, 0, rows)
+		if _, err := tensor.DecodeAnyInto(eBand, frame); err != nil {
+			return nil, fmt.Errorf("mpc: decode E band %d: %w", band, err)
+		}
+		// Reconstruct the band of the public E in place and fuse it
+		// (Eqs. 5, 8).
 		t0 = time.Now()
-		eBand := eBandBuf.SliceRowsInto(&w.eView, 0, rows)
-		tensor.Add(eBand, ei.SliceRowsInto(&w.eiView, lo, hi), pb)
+		tensor.Add(eBand, ei.SliceRowsInto(&w.eiView, lo, hi), eBand)
 		t1 := time.Now()
 		reconDur += t1.Sub(t0)
-		dBand := dBandBuf.SliceRowsInto(&w.dView, 0, rows)
+		dBand := a.SliceRowsInto(&w.aView, lo, hi) // party 0: D = A_0
 		if w.party == 1 {
-			tensor.Sub(dBand, a.SliceRowsInto(&w.aView, lo, hi), eBand)
-		} else {
-			dBand.CopyFrom(a.SliceRowsInto(&w.aView, lo, hi))
+			dBand = dBuf.SliceRowsInto(&w.dView, 0, rows)
+			tensor.Sub(dBand, &w.aView, eBand) // D = A_1 − E
 		}
 		cBand := c.SliceRowsInto(&w.cView, lo, hi)
 		tensor.Gemm(cBand, dBand, f, 1, 0)                         // D×F
 		tensor.Gemm(cBand, eBand, b, 1, 1)                         // += E×B_i
 		tensor.AXPY(cBand, 1, t.Z.SliceRowsInto(&w.zView, lo, hi)) // += Z_i
 		gemmDur += time.Since(t1)
+		lo = hi
 	}
 	// The peer's reader consumes our bands symmetrically, so the sender
 	// drains; a peer that died instead surfaces here as its write error
 	// (bounded by the connection's deadlines).
-	t0 := time.Now()
+	t0 = time.Now()
 	sendErr := <-w.done
 	exchDur += time.Since(t0)
 	w.put(peerBand)
-	w.put(eBandBuf)
-	w.put(dBandBuf)
+	w.put(dBuf)
 	w.put(ei)
-	if fPub == nil {
-		w.put(fi)
-		w.put(f)
-	}
+	w.put(fi)
+	w.put(f)
 	if sendErr != nil {
-		if dst == nil {
-			w.put(c)
-		}
+		w.put(c)
 		return nil, fmt.Errorf("mpc: send E/F: %w", sendErr)
 	}
 	// Feed the measured link rate back into the codec's byte budget: what
@@ -310,51 +290,5 @@ func (w *wireMul) mul(conn comm.Framer, a, b *tensor.Matrix, t TripletShares, fP
 	metrics.phaseExchange.Observe(exchDur)
 	metrics.phaseReconstruct.Observe(reconDur)
 	metrics.phaseGemm.Observe(gemmDur)
-	return c, nil
-}
-
-// swap sends one matrix and receives one, concurrently — neither party
-// waits for the other's frame before shipping its own, so a reveal or
-// re-share round costs max(two one-way transfers), not their sum. The
-// received frame is decoded into recvDst only after the sender drained,
-// so recvDst may alias the sent matrix (a share being replaced in place).
-//
-// swap carries RAW shares (activation re-shares and masks) and is
-// deliberately codec-free in both directions: lossy-encoding a share
-// would corrupt the secret sharing itself, not a revealed public value,
-// so the receive path also insists on the dense format.
-func (w *wireMul) swap(conn comm.Framer, send, recvDst *tensor.Matrix) error {
-	span := metrics.phaseExchange.Start()
-	w.launch(conn, send, nil, 0, codecRaw, codecRaw)
-	frame, err := readFrameInto(conn, w.recvBuf)
-	if err != nil {
-		return err
-	}
-	w.recvBuf = frame
-	if err := <-w.done; err != nil {
-		return err
-	}
-	span.Stop()
-	_, err = tensor.DecodeMatrixInto(recvDst, frame)
-	return err
-}
-
-// RemotePartyPipelined executes party i of one triplet multiplication
-// like RemoteParty, but with the wire double pipeline: full-duplex F
-// exchange followed by a banded E stream that overlaps the Eq. 8 compute.
-// Both parties must call it with the same WireConfig.ChunkRows — the band
-// layout is part of the wire protocol, and the serial RemoteParty framing
-// is not compatible. The returned share is bit-identical to RemoteParty's.
-func RemotePartyPipelined(party int, conn comm.Framer, in Shares, cfg WireConfig) (*tensor.Matrix, error) {
-	if party != 0 && party != 1 {
-		return nil, fmt.Errorf("mpc: remote party index %d", party)
-	}
-	w := newWireMul(party, cfg)
-	defer w.close()
-	c, err := w.mul(conn, in.A, in.B, in.T, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	// Detach the result from the pool: the caller owns it.
 	return c, nil
 }

@@ -1,7 +1,6 @@
 package mpc
 
 import (
-	"context"
 	"sync"
 	"testing"
 	"time"
@@ -186,11 +185,11 @@ func runWireMulPair(t *testing.T, cfg0, cfg1 WireConfig, in0, in1 Shares) *tenso
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		r0, e0 = w0.mul(c0, in0.A, in0.B, in0.T, nil, nil)
+		r0, e0 = w0.mul(c0, in0.A, in0.B, in0.T)
 	}()
 	go func() {
 		defer wg.Done()
-		r1, e1 = w1.mul(c1, in1.A, in1.B, in1.T, nil, nil)
+		r1, e1 = w1.mul(c1, in1.A, in1.B, in1.T)
 	}()
 	wg.Wait()
 	if e0 != nil || e1 != nil {
@@ -284,61 +283,11 @@ func TestWireMulCodecFP16Tolerance(t *testing.T) {
 	}
 }
 
-// startServePairCfgs is startServePair with per-party configs, for
-// mixed-version pairs (one codec-capable server, one without).
-func startServePairCfgs(tb testing.TB, cfg0, cfg1 ServeConfig) (addr0, addr1 string, shutdown func()) {
-	tb.Helper()
-	peerLn, err := comm.Listen("127.0.0.1:0")
-	if err != nil {
-		tb.Fatal(err)
-	}
-	ln0, err := comm.Listen("127.0.0.1:0")
-	if err != nil {
-		tb.Fatal(err)
-	}
-	ln1, err := comm.Listen("127.0.0.1:0")
-	if err != nil {
-		tb.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		peer, err := comm.Accept(peerLn)
-		peerLn.Close()
-		if err != nil {
-			tb.Errorf("peer accept: %v", err)
-			return
-		}
-		defer peer.Close()
-		if err := ServeClients(ctx, 0, ln0, peer, cfg0); err != nil {
-			tb.Errorf("server 0: %v", err)
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		peer, err := comm.DialRetry(peerLn.Addr().String(), comm.RetryConfig{Attempts: 10, BaseDelay: 10 * time.Millisecond})
-		if err != nil {
-			tb.Errorf("peer dial: %v", err)
-			return
-		}
-		defer peer.Close()
-		if err := ServeClients(ctx, 1, ln1, peer, cfg1); err != nil {
-			tb.Errorf("server 1: %v", err)
-		}
-	}()
-	return ln0.Addr().String(), ln1.Addr().String(), func() {
-		cancel()
-		wg.Wait()
-	}
-}
-
 func codecServeConfig(set CodecSet) ServeConfig {
 	cfg := ServeConfig{
 		ClientTimeout: 10 * time.Second,
 		PeerTimeout:   10 * time.Second,
-		Wire:          &WireConfig{ChunkRows: 8},
+		Wire:          WireConfig{ChunkRows: 8},
 	}
 	if set != 0 {
 		cfg.Wire.Codec = &WireCodec{Enabled: set, HW: hw.Paper(), Negotiate: true}
@@ -349,7 +298,7 @@ func codecServeConfig(set CodecSet) ServeConfig {
 // TestServeCodecNegotiationUpgrades: two codec-capable servers exchange
 // capability frames on the reserved control session and upgrade to the
 // full set, and a request through the negotiated stack still matches the
-// serial reference exactly (on a fast local link every pick stays raw —
+// reference product exactly (on a fast local link every pick stays raw —
 // the hw crossover says compression doesn't pay there).
 func TestServeCodecNegotiationUpgrades(t *testing.T) {
 	p := rng.NewPool(77)
@@ -360,7 +309,7 @@ func TestServeCodecNegotiationUpgrades(t *testing.T) {
 	b0, b1 := SplitRand(p, b)
 	in0 := Shares{A: a0, B: b0, T: t0}
 	in1 := Shares{A: a1, B: b1, T: t1}
-	want := serialReference(t, in0, in1)
+	want := referenceProduct(t, in0, in1)
 
 	cfg0 := codecServeConfig(CodecFP16 | CodecCSR)
 	cfg1 := codecServeConfig(CodecFP16 | CodecCSR)
@@ -384,13 +333,13 @@ func TestServeCodecNegotiationUpgrades(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !got.Equal(want) {
-		t.Fatalf("negotiated-stack result differs from serial path by %v", got.MaxAbsDiff(want))
+		t.Fatalf("negotiated-stack result differs from the reference by %v", got.MaxAbsDiff(want))
 	}
 }
 
 // TestServeCodecMixedVersion is the backward-compatibility proof: a
 // codec-capable server paired with an old (codec-less) one serves
-// requests bit-identically to the serial path and NEVER upgrades — the
+// requests bit-identically to the reference and NEVER upgrades — the
 // old peer never answers on the control session, so the new sender stays
 // raw forever instead of emitting frames the handshake didn't clear.
 func TestServeCodecMixedVersion(t *testing.T) {
@@ -402,7 +351,7 @@ func TestServeCodecMixedVersion(t *testing.T) {
 	b0, b1 := SplitRand(p, b)
 	in0 := Shares{A: a0, B: b0, T: t0}
 	in1 := Shares{A: a1, B: b1, T: t1}
-	want := serialReference(t, in0, in1)
+	want := referenceProduct(t, in0, in1)
 
 	cfg0 := codecServeConfig(CodecFP16 | CodecCSR) // new server
 	cfg1 := codecServeConfig(0)                    // old server: no codec at all
@@ -417,7 +366,7 @@ func TestServeCodecMixedVersion(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !got.Equal(want) {
-			t.Fatalf("mixed-version result differs from serial path by %v", got.MaxAbsDiff(want))
+			t.Fatalf("mixed-version result differs from the reference by %v", got.MaxAbsDiff(want))
 		}
 	}
 	if got := cfg0.Wire.Codec.usable(); got != 0 {

@@ -285,6 +285,21 @@ func DecodeAnyInto(dst *Matrix, buf []byte) (int, error) {
 	}
 }
 
+// FrameShape returns the rows×cols a self-describing frame declares,
+// without decoding it — so a receiver can size its destination from the
+// sender's choice (the banded exchange's band height is sender-local).
+func FrameShape(buf []byte) (rows, cols int, err error) {
+	if len(buf) < 9 {
+		return 0, 0, ErrCodecShort
+	}
+	switch buf[0] {
+	case tagDense, tagFP16, tagCSR:
+	default:
+		return 0, 0, fmt.Errorf("%w: 0x%02x", ErrCodecTag, buf[0])
+	}
+	return int(binary.LittleEndian.Uint32(buf[1:])), int(binary.LittleEndian.Uint32(buf[5:])), nil
+}
+
 // EncodeCSR appends the wire form of c to buf and returns the result.
 func EncodeCSR(buf []byte, c *CSR) []byte {
 	buf = append(buf, tagCSR)

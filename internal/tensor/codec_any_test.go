@@ -118,6 +118,25 @@ func TestDecodeAnyIntoDispatch(t *testing.T) {
 	}
 }
 
+func TestFrameShape(t *testing.T) {
+	m := New(3, 5)
+	for name, frame := range map[string][]byte{
+		"dense": EncodeMatrix(nil, m),
+		"fp16":  EncodeMatrixFP16(nil, m),
+		"csr":   AppendMatrixCSR(nil, m),
+	} {
+		if r, c, err := FrameShape(frame); err != nil || r != 3 || c != 5 {
+			t.Fatalf("%s: FrameShape = %dx%d, %v; want 3x5", name, r, c, err)
+		}
+	}
+	if _, _, err := FrameShape([]byte{'D', 0, 0}); err == nil {
+		t.Fatal("truncated header accepted")
+	}
+	if _, _, err := FrameShape([]byte{'X', 1, 0, 0, 0, 1, 0, 0, 0}); err == nil {
+		t.Fatal("unknown tag accepted")
+	}
+}
+
 // The steady-state receive path must stay allocation-free on every format.
 func TestDecodeAnyIntoAllocFree(t *testing.T) {
 	r := rand.New(rand.NewSource(15))
