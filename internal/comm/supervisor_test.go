@@ -600,9 +600,11 @@ func isClosedErr(err error) bool {
 // TestSupervisedLinkOnReconnectHook checks registered callbacks fire on
 // every successful reconnect — the hook stale-rate-estimate consumers
 // (the wire codec's bandwidth EWMA) use to reset per-link state when
-// the underlying connection is replaced.
+// the underlying connection is replaced. The hook runs after the new
+// connection is installed, so the reader may drain every frame first:
+// the test waits for the hook itself, under a bounded deadline.
 func TestSupervisedLinkOnReconnectHook(t *testing.T) {
-	var fired atomic.Int64
+	fired := make(chan struct{}, 1)
 	a, b := supPair(t, fastSupCfg(), fastSupCfg(), func(inc int, raw net.Conn) net.Conn {
 		fc := NewFaultConn(raw)
 		if inc == 0 {
@@ -610,7 +612,12 @@ func TestSupervisedLinkOnReconnectHook(t *testing.T) {
 		}
 		return fc
 	})
-	b.OnReconnect(func() { fired.Add(1) })
+	b.OnReconnect(func() {
+		select {
+		case fired <- struct{}{}:
+		default:
+		}
+	})
 	const n = 50
 	errc := make(chan error, 1)
 	go func() {
@@ -630,7 +637,9 @@ func TestSupervisedLinkOnReconnectHook(t *testing.T) {
 	if err := <-errc; err != nil {
 		t.Fatal(err)
 	}
-	if fired.Load() < 1 {
+	select {
+	case <-fired:
+	case <-time.After(10 * time.Second):
 		t.Fatal("OnReconnect callback did not fire across a reconnect")
 	}
 }

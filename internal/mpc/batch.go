@@ -17,12 +17,13 @@ import (
 // per-round overhead — while the GEMMs themselves are small. A per-shape
 // collector holds compatible requests for a short window (static, or the
 // planner's computed crossover) and executes the whole group as ONE
-// row-stacked exchange: the E shares concatenate to a (B·m)×k stack, the F
-// shares to a (B·k)×n stack, one frame sequence moves each way, and each
-// member's slice of the fused banded GEMM is computed with exactly the
-// per-session op sequence — so results are bit-identical to serving the
-// requests one by one (every dst row of the GEMM accumulates independently;
-// see tensor.Gemm).
+// row-stacked exchange: the triplet step (feedTriplet) and then the same
+// wireMul.mul that serves a single request, both called with B members
+// instead of one on the batch's mux session, so results are bit-identical
+// to serving the requests one by one. The batch key is the GEMM shape plus
+// whether the triplet is dealer-fed: client-dealt and dealer-fed requests
+// both batch, never in one batch, so a batch's triplet step either sends
+// nothing or announces one stream seq per member.
 //
 // Coordination: the two parties see the same request ids but not in the
 // same order or at the same time, so batch membership must be agreed, not
@@ -36,9 +37,9 @@ import (
 // from the exec, the follower remembers them as dropped), so one slow or
 // dead client never wedges its co-tenants.
 //
-// Both parties must enable batching together (ServeConfig.Batch), like the
-// wire pipeline: a leader whose peer never opens the control session sees
-// every proposal go unanswered and pays the ack timeout per batch.
+// Both parties must enable batching together (ServeConfig.Batch): a
+// leader whose peer never opens the control session sees every proposal
+// go unanswered and pays the ack timeout per batch.
 
 // batchCtlID is the reserved mux session carrying batch proposals and
 // acks ("psmlbch1"). Request ids start from a random 64-bit base, so a
@@ -47,10 +48,10 @@ const batchCtlID uint64 = 0x70736d6c62636831
 
 // Batch control frame layout (little-endian):
 //
-//	propose: ver kind=1 | u64 batchID | u32 m k n stackBand | u32 count | count × u64 ids
+//	propose: ver kind=1 | u64 batchID | u32 m k n stackBand | u8 fed | u32 count | count × u64 ids
 //	ack:     ver kind=2 | u64 batchID | u32 count | count × u64 ids (subset, proposal order)
 const (
-	batchCtlVersion  byte = 1
+	batchCtlVersion  byte = 2
 	batchKindPropose byte = 1
 	batchKindAck     byte = 2
 )
@@ -118,53 +119,86 @@ type batcher interface {
 }
 
 // newBatcher wires the party's side of the batch protocol onto the mux.
-// codec, when non-nil, compresses the stacked E/F exchanges exactly like
-// the per-request wire path (rounding is elementwise, so a stacked FP16
-// round equals rounding each member individually).
-func newBatcher(party int, mux *comm.Mux, cfg BatchConfig, pool *tensor.Pool, codec *WireCodec) (batcher, error) {
+// Batched exchanges draw from wire's pool (which must be set) and
+// compress under its codec exactly like single requests, and resolve
+// dealer-fed triplets from feed.
+func newBatcher(party int, mux *comm.Mux, cfg BatchConfig, wire WireConfig, feed TripletFeed) (batcher, error) {
 	ctl, err := mux.Open(batchCtlID)
 	if err != nil {
 		return nil, fmt.Errorf("mpc: batch control session: %w", err)
 	}
-	cfg = cfg.withDefaults()
-	if pool == nil {
-		pool = tensor.NewPool()
-	}
+	core := batchCore{party: party, cfg: cfg.withDefaults(), mux: mux, ctl: ctl, wire: wire, feed: feed}
 	if party == 0 {
 		l := &batchLeader{
-			cfg:     cfg,
-			mux:     mux,
-			ctl:     ctl,
-			pool:    pool,
-			codec:   codec,
-			pending: make(map[batchShape]*pendingBatch),
-			acks:    make(map[uint64]chan batchAck),
-			done:    make(chan struct{}),
+			batchCore: core,
+			pending:   make(map[batchShape]*pendingBatch),
+			acks:      make(map[uint64]chan batchAck),
+			done:      make(chan struct{}),
 		}
 		go l.ackLoop()
 		return l, nil
 	}
 	f := &batchFollower{
-		cfg:     cfg,
-		mux:     mux,
-		ctl:     ctl,
-		pool:    pool,
-		codec:   codec,
-		waiting: make(map[uint64]*batchMember),
-		expect:  make(map[uint64]chan *batchMember),
-		dropped: make(map[uint64]struct{}),
-		done:    make(chan struct{}),
+		batchCore: core,
+		waiting:   make(map[uint64]*batchMember),
+		expect:    make(map[uint64]chan *batchMember),
+		dropped:   make(map[uint64]struct{}),
+		done:      make(chan struct{}),
 	}
 	// Upper bound on leader-side collection before a proposal can reach us:
 	// its window plus control-frame latency, padded generously — a expired
 	// wait only costs falling back to the individual path.
-	maxWindow := cfg.Window
-	if cfg.Planner != nil && defaultMaxWindow > maxWindow {
+	maxWindow := core.cfg.Window
+	if core.cfg.Planner != nil && defaultMaxWindow > maxWindow {
 		maxWindow = defaultMaxWindow
 	}
-	f.proposalWait = 2*cfg.JoinWait + maxWindow + 250*time.Millisecond
+	f.proposalWait = 2*core.cfg.JoinWait + maxWindow + 250*time.Millisecond
 	go f.proposalLoop()
 	return f, nil
+}
+
+// batchCore is the state both sides of the batch protocol share.
+type batchCore struct {
+	party int
+	cfg   BatchConfig
+	mux   *comm.Mux
+	ctl   *comm.MuxSession
+	wire  WireConfig
+	feed  TripletFeed
+}
+
+// exec runs the accepted members' stacked exchange on the batch's mux
+// session and hands every member its outcome: on success its row view of
+// the stacked result, whose backing store returns to the pool when the
+// last member releases.
+func (b *batchCore) exec(id uint64, members []*batchMember, band int) {
+	ins := make([]Shares, len(members))
+	for j, mem := range members {
+		ins[j] = mem.in
+	}
+	w := newWireMul(b.party, b.wire)
+	defer w.close()
+	start := time.Now()
+	cstack, err := exchange(b.mux, id, w, b.feed, ins, band)
+	metrics.batchExec.ObserveSince(start)
+	if err != nil {
+		err = fmt.Errorf("mpc: batch %016x: %w", id, err)
+		for _, mem := range members {
+			mem.out <- batchOutcome{err: err}
+		}
+		return
+	}
+	m := cstack.Rows / len(members)
+	refs := new(atomic.Int32)
+	refs.Store(int32(len(members)))
+	release := func() {
+		if refs.Add(-1) == 0 {
+			b.wire.Pool.Put(cstack)
+		}
+	}
+	for j, mem := range members {
+		mem.out <- batchOutcome{ci: cstack.SliceRows(j*m, (j+1)*m), release: release}
+	}
 }
 
 // batchOutcome is the collector's answer to one parked request.
@@ -184,9 +218,9 @@ type batchMember struct {
 }
 
 // shapeOf returns the request's batch key; ok=false for degenerate
-// geometry the stacking math cannot handle (batchExec divides by m).
+// geometry the stacking math cannot handle (wireMul.mul divides by m).
 func shapeOf(in Shares) (batchShape, bool) {
-	s := batchShape{m: in.A.Rows, k: in.A.Cols, n: in.B.Cols}
+	s := batchShape{m: in.A.Rows, k: in.A.Cols, n: in.B.Cols, fed: in.T.U == nil}
 	return s, s.m > 0 && s.k > 0 && s.n > 0
 }
 
@@ -201,25 +235,12 @@ func fallbackAll(members []*batchMember) {
 	}
 }
 
-func errAll(members []*batchMember, err error) {
-	for _, mem := range members {
-		mem.out <- batchOutcome{err: err}
+// resolve turns a member's outcome into batcher.do's results.
+func resolve(out batchOutcome) (*tensor.Matrix, func(), bool, error) {
+	if out.fallback {
+		return nil, nil, false, nil
 	}
-}
-
-// distributeBatch hands each member its row view of the stacked result.
-// The backing store returns to the pool when the last member releases.
-func distributeBatch(members []*batchMember, cstack *tensor.Matrix, m int, pool *tensor.Pool) {
-	refs := new(atomic.Int32)
-	refs.Store(int32(len(members)))
-	release := func() {
-		if refs.Add(-1) == 0 {
-			pool.Put(cstack)
-		}
-	}
-	for j, mem := range members {
-		mem.out <- batchOutcome{ci: cstack.SliceRows(j*m, (j+1)*m), release: release}
-	}
+	return out.ci, out.release, true, out.err
 }
 
 // ---- leader (party 0) ----
@@ -235,11 +256,7 @@ type pendingBatch struct {
 }
 
 type batchLeader struct {
-	cfg   BatchConfig
-	mux   *comm.Mux
-	ctl   *comm.MuxSession
-	pool  *tensor.Pool
-	codec *WireCodec
+	batchCore
 
 	mu      sync.Mutex
 	closed  bool
@@ -313,11 +330,7 @@ func (l *batchLeader) do(id uint64, in Shares) (*tensor.Matrix, func(), bool, er
 			l.dispatch(shape, pb)
 		}
 	}
-	out := <-mem.out
-	if out.fallback {
-		return nil, nil, false, nil
-	}
-	return out.ci, out.release, true, out.err
+	return resolve(<-mem.out)
 }
 
 // dispatch seals pb (idempotent: the window timer and the full-batch check
@@ -408,21 +421,7 @@ func (l *batchLeader) run(pb *pendingBatch) {
 		return
 	}
 
-	sess, err := l.mux.Open(batchID)
-	if err != nil {
-		errAll(accepted, fmt.Errorf("mpc: batch %016x: %w", batchID, err))
-		return
-	}
-	start := time.Now()
-	cstack, err := batchExec(0, sess, pb.shape, accepted, prop.stackBand, l.pool, l.codec)
-	metrics.batchExec.ObserveSince(start)
-	if err != nil {
-		sess.Abort()
-		errAll(accepted, fmt.Errorf("mpc: batch %016x: %w", batchID, err))
-		return
-	}
-	sess.Close()
-	distributeBatch(accepted, cstack, pb.shape.m, l.pool)
+	l.exec(batchID, accepted, prop.stackBand)
 }
 
 // ackLoop owns the control session's read side on the leader.
@@ -482,11 +481,7 @@ func (l *batchLeader) close() {
 const droppedRing = 1024
 
 type batchFollower struct {
-	cfg          BatchConfig
-	mux          *comm.Mux
-	ctl          *comm.MuxSession
-	pool         *tensor.Pool
-	codec        *WireCodec
+	batchCore
 	proposalWait time.Duration
 
 	mu       sync.Mutex
@@ -542,7 +537,7 @@ func (f *batchFollower) do(id uint64, in Shares) (*tensor.Matrix, func(), bool, 
 		delete(f.expect, id)
 		f.mu.Unlock()
 		ch <- mem
-		return f.await(mem)
+		return resolve(<-mem.out)
 	}
 	f.waiting[id] = mem
 	f.mu.Unlock()
@@ -551,7 +546,7 @@ func (f *batchFollower) do(id uint64, in Shares) (*tensor.Matrix, func(), bool, 
 	defer timer.Stop()
 	select {
 	case out := <-mem.out:
-		return f.resolve(out)
+		return resolve(out)
 	case <-timer.C:
 	case <-f.done:
 	}
@@ -565,21 +560,10 @@ func (f *batchFollower) do(id uint64, in Shares) (*tensor.Matrix, func(), bool, 
 		return nil, nil, false, nil
 	}
 	f.mu.Unlock()
-	// A batch claimed us just as the timer fired; its outcome is guaranteed.
-	return f.await(mem)
-}
-
-// await blocks for a claimed member's outcome (delivery is guaranteed once
-// a batch has claimed the member, on every batch exit path).
-func (f *batchFollower) await(mem *batchMember) (*tensor.Matrix, func(), bool, error) {
-	return f.resolve(<-mem.out)
-}
-
-func (f *batchFollower) resolve(out batchOutcome) (*tensor.Matrix, func(), bool, error) {
-	if out.fallback {
-		return nil, nil, false, nil
-	}
-	return out.ci, out.release, true, out.err
+	// A batch claimed us just as the timer fired; its outcome is
+	// guaranteed (delivery is, once a batch has claimed the member, on
+	// every batch exit path).
+	return resolve(<-mem.out)
 }
 
 // proposalLoop owns the control session's read side on the follower.
@@ -654,9 +638,9 @@ func (f *batchFollower) runBatch(prop batchProposal) {
 			}
 		}
 		if mem.shape != prop.shape {
-			// The client sent different geometry to the two parties; no
-			// batch can hold it. Individual path on both sides (the leader
-			// sees the missing ack entry).
+			// The client sent different geometry, or a triplet to one party
+			// only, to the two parties; no batch can hold it. Individual
+			// path on both sides (the leader sees the missing ack entry).
 			fallbackMember(mem)
 			continue
 		}
@@ -676,21 +660,7 @@ func (f *batchFollower) runBatch(prop batchProposal) {
 	metrics.batches.Inc()
 	metrics.batchRequests.Add(uint64(len(members)))
 
-	sess, err := f.mux.Open(prop.id)
-	if err != nil {
-		errAll(members, fmt.Errorf("mpc: batch %016x: %w", prop.id, err))
-		return
-	}
-	start := time.Now()
-	cstack, err := batchExec(1, sess, prop.shape, members, prop.stackBand, f.pool, f.codec)
-	metrics.batchExec.ObserveSince(start)
-	if err != nil {
-		sess.Abort()
-		errAll(members, fmt.Errorf("mpc: batch %016x: %w", prop.id, err))
-		return
-	}
-	sess.Close()
-	distributeBatch(members, cstack, prop.shape.m, f.pool)
+	f.exec(prop.id, members, prop.stackBand)
 }
 
 func (f *batchFollower) close() {
@@ -704,200 +674,6 @@ func (f *batchFollower) close() {
 		// members claimed by in-flight batches get their outcome from the
 		// batch goroutine, whose mux reads are deadline-bounded.
 	})
-}
-
-// ---- stacked execution ----
-
-// sendStacked streams this party's half of a batch exchange: the stacked F
-// share as one head frame (encoded under fKind), then the stacked E share
-// in bands (encoded under eKind; locally dense CSR bands fall back to raw
-// per band). Returns the total bytes shipped for the codec's bandwidth
-// feedback.
-func sendStacked(conn comm.Framer, fstack, estack *tensor.Matrix, band int, fKind, eKind wireCodecKind) (int, error) {
-	var view tensor.Matrix
-	sent := 0
-	buf := appendWireTensor(nil, fstack, fKind)
-	sent += len(buf)
-	if err := conn.WriteFrame(buf); err != nil {
-		return sent, err
-	}
-	for lo := 0; lo < estack.Rows; lo += band {
-		hi := min(lo+band, estack.Rows)
-		buf = appendWireTensor(buf[:0], estack.SliceRowsInto(&view, lo, hi), eKind)
-		sent += len(buf)
-		if err := conn.WriteFrame(buf); err != nil {
-			return sent, err
-		}
-	}
-	return sent, nil
-}
-
-// batchExec runs this party's side of one batched exchange over sess: B
-// members of identical m×k × k×n geometry, row-stacked. The wire protocol
-// is the pipelined exchange's, applied to the stacks: one (B·k)×n F frame,
-// then the (B·m)×k E stack in bands of stackBand rows, full duplex. It
-// mirrors wireMul.mul op for op — in-place E/F reconstruction, party 0's
-// A rows used directly as D, band heights read from the peer's frame
-// headers — and each member's rows run exactly the per-session op
-// sequence (Eqs. 4, 5, 8) —
-// every dst row of the fused GEMM accumulates independently, so the
-// result is bit-identical to B individual exchanges (under codec, to B
-// individual exchanges with the same picks: FP16 rounding is elementwise
-// and the retained stack is rounded in place before use, like wireMul).
-// Returns the pooled (B·m)×n stacked result; the caller distributes row
-// views and releases.
-func batchExec(party int, sess *comm.MuxSession, shape batchShape, members []*batchMember, stackBand int, pool *tensor.Pool, codec *WireCodec) (*tensor.Matrix, error) {
-	m, k, n := shape.m, shape.k, shape.n
-	B := len(members)
-	stackRows := B * m
-	if stackBand <= 0 || stackBand > stackRows {
-		stackBand = stackRows
-	}
-
-	// Local stacked shares (Eq. 4): E = A − U, F = B − V, member by member.
-	estack := pool.Get(stackRows, k)
-	fstack := pool.Get(B*k, n)
-	var jView tensor.Matrix
-	for j, mem := range members {
-		tensor.Sub(estack.SliceRowsInto(&jView, j*m, (j+1)*m), mem.in.A, mem.in.T.U)
-	}
-	for j, mem := range members {
-		tensor.Sub(fstack.SliceRowsInto(&jView, j*k, (j+1)*k), mem.in.B, mem.in.T.V)
-	}
-	eKind, fKind := codecRaw, codecRaw
-	if codec != nil {
-		eKind = codec.pick(estack, tensorE)
-		if eKind == codecFP16 {
-			tensor.RoundMatrixFloat16InPlace(estack)
-		}
-		fKind = codec.pick(fstack, tensorF)
-		if fKind == codecFP16 {
-			tensor.RoundMatrixFloat16InPlace(fstack)
-		}
-	}
-
-	sendDone := make(chan error, 1)
-	sentBytes := make(chan int, 1)
-	go func() {
-		sent, err := sendStacked(sess, fstack, estack, stackBand, fKind, eKind)
-		sentBytes <- sent
-		sendDone <- err
-	}()
-	drained := false
-	defer func() {
-		if !drained {
-			// The reader failed first: kill the session so the sender's
-			// writes unblock before its buffers go back to the pool.
-			sess.Abort()
-			<-sendDone
-		}
-		pool.Put(estack)
-		pool.Put(fstack)
-	}()
-
-	var exchDur, reconDur, gemmDur time.Duration
-	var recvBuf []byte
-
-	// Public stacked F (Eq. 5), reconstructed in place into the decoded
-	// peer share.
-	t0 := time.Now()
-	frame, err := readFrameInto(sess, recvBuf)
-	exchDur += time.Since(t0)
-	if err != nil {
-		return nil, fmt.Errorf("mpc: batch recv F: %w", err)
-	}
-	recvBuf = frame
-	fpub := pool.Get(B*k, n)
-	defer pool.Put(fpub)
-	if _, err := tensor.DecodeAnyInto(fpub, frame); err != nil {
-		return nil, fmt.Errorf("mpc: batch decode F: %w", err)
-	}
-	t0 = time.Now()
-	tensor.Add(fpub, fstack, fpub)
-	reconDur += time.Since(t0)
-
-	cstack := pool.Get(stackRows, n)
-	ok := false
-	defer func() {
-		if !ok {
-			pool.Put(cstack)
-		}
-	}()
-
-	// Band heights come from the peer's frame headers, as in wireMul.mul.
-	var peerBand, dBuf *tensor.Matrix
-	defer func() {
-		pool.Put(peerBand)
-		pool.Put(dBuf)
-	}()
-
-	var pbView, esView, eSlice, dSlice, aView, cView, fView, zView tensor.Matrix
-	for lo, band := 0, 0; lo < stackRows; band++ {
-		t0 := time.Now()
-		frame, err := readFrameInto(sess, recvBuf)
-		exchDur += time.Since(t0)
-		if err != nil {
-			return nil, fmt.Errorf("mpc: batch recv E band %d: %w", band, err)
-		}
-		recvBuf = frame
-		rows, err := bandHeight(frame, stackRows-lo, k)
-		if err != nil {
-			return nil, fmt.Errorf("mpc: batch E band %d: %w", band, err)
-		}
-		if peerBand == nil || rows > peerBand.Rows {
-			pool.Put(peerBand)
-			peerBand = pool.Get(rows, k)
-			if party == 1 {
-				pool.Put(dBuf)
-				dBuf = pool.Get(rows, k)
-			}
-		}
-		hi := lo + rows
-		eBand := peerBand.SliceRowsInto(&pbView, 0, rows)
-		if _, err := tensor.DecodeAnyInto(eBand, frame); err != nil {
-			return nil, fmt.Errorf("mpc: batch decode E band %d: %w", band, err)
-		}
-		// Reconstruct the stacked public E band in place, then fuse each
-		// member's overlap with the per-session op sequence (Eqs. 5, 8).
-		t0 = time.Now()
-		tensor.Add(eBand, estack.SliceRowsInto(&esView, lo, hi), eBand)
-		t1 := time.Now()
-		reconDur += t1.Sub(t0)
-		for j := lo / m; j < B && j*m < hi; j++ {
-			ov0, ov1 := max(j*m, lo), min((j+1)*m, hi)
-			if ov0 >= ov1 {
-				continue
-			}
-			in := members[j].in
-			lr0, lr1 := ov0-j*m, ov1-j*m
-			eSl := eBand.SliceRowsInto(&eSlice, ov0-lo, ov1-lo)
-			dSl := in.A.SliceRowsInto(&aView, lr0, lr1) // party 0: D = A_0
-			if party == 1 {
-				dSl = dBuf.SliceRowsInto(&dSlice, ov0-lo, ov1-lo)
-				tensor.Sub(dSl, &aView, eSl) // D = A_1 − E
-			}
-			cSl := cstack.SliceRowsInto(&cView, ov0, ov1)
-			fj := fpub.SliceRowsInto(&fView, j*k, (j+1)*k)
-			tensor.Gemm(cSl, dSl, fj, 1, 0)                             // D×F
-			tensor.Gemm(cSl, eSl, in.B, 1, 1)                           // += E×B_i
-			tensor.AXPY(cSl, 1, in.T.Z.SliceRowsInto(&zView, lr0, lr1)) // += Z_i
-		}
-		gemmDur += time.Since(t1)
-		lo = hi
-	}
-	t0 = time.Now()
-	sendErr := <-sendDone
-	drained = true
-	exchDur += time.Since(t0)
-	if sendErr != nil {
-		return nil, fmt.Errorf("mpc: batch send E/F: %w", sendErr)
-	}
-	codec.ObserveLink(<-sentBytes, exchDur)
-	metrics.phaseExchange.Observe(exchDur)
-	metrics.phaseReconstruct.Observe(reconDur)
-	metrics.phaseGemm.Observe(gemmDur)
-	ok = true
-	return cstack, nil
 }
 
 // ---- control frame codec ----
@@ -921,6 +697,11 @@ func appendProposal(buf []byte, p batchProposal) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(p.shape.k))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(p.shape.n))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(p.stackBand))
+	fed := byte(0)
+	if p.shape.fed {
+		fed = 1
+	}
+	buf = append(buf, fed)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(p.ids)))
 	for _, id := range p.ids {
 		buf = binary.LittleEndian.AppendUint64(buf, id)
@@ -930,7 +711,7 @@ func appendProposal(buf []byte, p batchProposal) []byte {
 
 func parseProposal(frame []byte) (batchProposal, error) {
 	var p batchProposal
-	if len(frame) < 30 || frame[0] != batchCtlVersion || frame[1] != batchKindPropose {
+	if len(frame) < 31 || frame[0] != batchCtlVersion || frame[1] != batchKindPropose || frame[26] > 1 {
 		return p, fmt.Errorf("mpc: bad batch proposal frame")
 	}
 	p.id = binary.LittleEndian.Uint64(frame[2:])
@@ -938,13 +719,14 @@ func parseProposal(frame []byte) (batchProposal, error) {
 	p.shape.k = int(binary.LittleEndian.Uint32(frame[14:]))
 	p.shape.n = int(binary.LittleEndian.Uint32(frame[18:]))
 	p.stackBand = int(binary.LittleEndian.Uint32(frame[22:]))
-	count := int(binary.LittleEndian.Uint32(frame[26:]))
-	if count > maxBatchCtlIDs || len(frame) != 30+8*count {
+	p.shape.fed = frame[26] == 1
+	count := int(binary.LittleEndian.Uint32(frame[27:]))
+	if count > maxBatchCtlIDs || len(frame) != 31+8*count {
 		return p, fmt.Errorf("mpc: batch proposal length mismatch")
 	}
 	p.ids = make([]uint64, count) // copy: the frame buffer is reused
 	for i := range p.ids {
-		p.ids[i] = binary.LittleEndian.Uint64(frame[30+8*i:])
+		p.ids[i] = binary.LittleEndian.Uint64(frame[31+8*i:])
 	}
 	return p, nil
 }

@@ -2,6 +2,7 @@ package mpc
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"parsecureml/internal/comm"
@@ -34,35 +35,74 @@ type TripletFeed interface {
 	Take(m, k, n int, seq uint64) (TripletShares, error)
 }
 
-// feedTriplet runs one request's triplet agreement over the request's
-// mux session, ahead of the Beaver exchange: party 0 draws the next
-// ready triplet from its feed and announces the sequence number; party
-// 1 reads the announcement and takes the matching triplet from its own
-// feed. The announcement frame is the session's first, so the banded
-// exchange starts cleanly after it.
-func feedTriplet(party int, feed TripletFeed, sess comm.Framer, m, k, n int) (TripletShares, error) {
+// feedTriplet is the one place an exchange's triplets are resolved: the
+// first step on the mux session that carries the exchange, a single
+// request's own session or a batch's. The members share one request form
+// (a batch is keyed by it). Client-dealt members (the five-matrix form)
+// bring their triplets and need nothing — no frame is sent. For dealer-fed
+// members (T zero) party 0 draws the next ready triplet of the shape from
+// its feed, one per member in member order, and announces their stream
+// seqs in one frame of 8 bytes per member; party 1 takes each announced
+// seq from its own feed. Both parties so hold complementary halves of the
+// same triplets however concurrent sessions interleave their draws, and
+// because a batch draws only for the members both parties accepted, a
+// member dropped from a proposal never strands a drawn seq. The resolved
+// triplets are written into members.
+func feedTriplet(party int, feed TripletFeed, sess comm.Framer, members []Shares) error {
+	if members[0].T.U != nil {
+		return nil
+	}
+	if feed == nil {
+		return errors.New("mpc: dealer-fed request on a party with no triplet feed")
+	}
+	span := metrics.phaseTriplet.Start()
+	defer span.Stop()
+	m, k, n := members[0].A.Rows, members[0].A.Cols, members[0].B.Cols
 	if party == 0 {
-		seq, t, err := feed.Next(m, k, n)
-		if err != nil {
-			return TripletShares{}, fmt.Errorf("mpc: triplet feed: %w", err)
+		announce := make([]byte, 0, 8*len(members))
+		for j := range members {
+			seq, t, err := feed.Next(m, k, n)
+			if err != nil {
+				return fmt.Errorf("mpc: triplet feed: %w", err)
+			}
+			members[j].T = t
+			announce = binary.LittleEndian.AppendUint64(announce, seq)
 		}
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], seq)
-		if err := sess.WriteFrame(buf[:]); err != nil {
-			return TripletShares{}, fmt.Errorf("mpc: triplet seq announce: %w", err)
+		if err := sess.WriteFrame(announce); err != nil {
+			return fmt.Errorf("mpc: triplet seq announce: %w", err)
 		}
-		return t, nil
+		return nil
 	}
 	f, err := sess.ReadFrame()
 	if err != nil {
-		return TripletShares{}, fmt.Errorf("mpc: triplet seq announce: %w", err)
+		return fmt.Errorf("mpc: triplet seq announce: %w", err)
 	}
-	if len(f) != 8 {
-		return TripletShares{}, fmt.Errorf("mpc: triplet seq announce frame is %d bytes, want 8", len(f))
-	}
-	t, err := feed.Take(m, k, n, binary.LittleEndian.Uint64(f))
+	seqs, err := parseAnnounce(f)
 	if err != nil {
-		return TripletShares{}, fmt.Errorf("mpc: triplet feed: %w", err)
+		return err
 	}
-	return t, nil
+	if len(seqs) != len(members) {
+		return fmt.Errorf("mpc: triplet seq announce names %d triplets, want %d", len(seqs), len(members))
+	}
+	for j, seq := range seqs {
+		t, err := feed.Take(m, k, n, seq)
+		if err != nil {
+			return fmt.Errorf("mpc: triplet feed: %w", err)
+		}
+		members[j].T = t
+	}
+	return nil
+}
+
+// parseAnnounce decodes a triplet seq announcement: one little-endian
+// u64 stream seq per dealer-fed member, at most a batch's worth.
+func parseAnnounce(frame []byte) ([]uint64, error) {
+	if len(frame) == 0 || len(frame)%8 != 0 || len(frame) > 8*maxBatchCtlIDs {
+		return nil, fmt.Errorf("mpc: triplet seq announce frame is %d bytes, want 8 per triplet", len(frame))
+	}
+	seqs := make([]uint64, len(frame)/8)
+	for i := range seqs {
+		seqs[i] = binary.LittleEndian.Uint64(frame[8*i:])
+	}
+	return seqs, nil
 }

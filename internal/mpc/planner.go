@@ -67,8 +67,12 @@ const gapDispatchFactor = 4
 const ewmaAlpha = 1.0 / 16
 
 // batchShape keys batchable work: only requests with identical GEMM
-// geometry can row-stack.
-type batchShape struct{ m, k, n int }
+// geometry and the same triplet source (dealer-fed or client-dealt) can
+// row-stack. The planner keys by geometry alone.
+type batchShape struct {
+	m, k, n int
+	fed     bool
+}
 
 // shapeArrivals tracks one shape's request arrival process.
 type shapeArrivals struct {
@@ -101,10 +105,10 @@ func (p *Planner) Observe(m, k, n int, now time.Time) {
 	if p.shapes == nil {
 		p.shapes = make(map[batchShape]*shapeArrivals)
 	}
-	s := p.shapes[batchShape{m, k, n}]
+	s := p.shapes[batchShape{m: m, k: k, n: n}]
 	if s == nil {
 		s = &shapeArrivals{}
-		p.shapes[batchShape{m, k, n}] = s
+		p.shapes[batchShape{m: m, k: k, n: n}] = s
 	}
 	if !s.last.IsZero() {
 		gap := now.Sub(s.last).Seconds()
@@ -124,7 +128,7 @@ func (p *Planner) Observe(m, k, n int, now time.Time) {
 func (p *Planner) gap(m, k, n int) float64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if s := p.shapes[batchShape{m, k, n}]; s != nil {
+	if s := p.shapes[batchShape{m: m, k: k, n: n}]; s != nil {
 		return s.ewmaGap
 	}
 	return 0

@@ -13,7 +13,7 @@ import (
 func TestPlannerWindowClamp(t *testing.T) {
 	for name, p := range map[string]hw.Platform{"paper": hw.Paper(), "slownet": hw.SlowNet()} {
 		pl := NewPlanner(p)
-		for _, s := range []batchShape{{1, 1, 1}, {32, 32, 32}, {4096, 512, 512}} {
+		for _, s := range []batchShape{{1, 1, 1, false}, {32, 32, 32, false}, {4096, 512, 512, false}} {
 			plan := pl.Plan(s.m, s.k, s.n, 4*s.m)
 			if plan.window < pl.MinWindow || plan.window > pl.MaxWindow {
 				t.Errorf("%s %v: window %v outside [%v, %v]", name, s, plan.window, pl.MinWindow, pl.MaxWindow)

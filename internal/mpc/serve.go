@@ -397,13 +397,14 @@ type ServeConfig struct {
 	MaxSessions int
 	// Feed, when non-nil, serves dealer-fed requests (the two-matrix A, B
 	// form): the triplet comes from this party's feed instead of the
-	// client. Party 0 draws the next ready triplet for the request's shape
-	// and tells party 1 its stream sequence number over the request's mux
-	// session (the first frame, ahead of the Beaver exchange), so both
-	// parties always hold complementary halves of the same triplet no
-	// matter how concurrent sessions interleave. Full five-matrix requests
-	// are still honored — a pair can serve classic and dealer-fed clients
-	// at once. Both parties must configure a Feed together.
+	// client. Party 0 draws the next ready triplet for each dealer-fed
+	// request of an exchange and announces their stream sequence numbers
+	// to party 1 in the exchange's first frame (feedTriplet), so both
+	// parties always hold complementary halves of the same triplets no
+	// matter how concurrent sessions interleave. Dealer-fed requests batch
+	// like client-dealt ones, and full five-matrix requests are still
+	// honored — a pair can serve classic and dealer-fed clients at once.
+	// Both parties must configure a Feed together.
 	Feed TripletFeed
 }
 
@@ -497,7 +498,7 @@ func ServeClients(ctx context.Context, party int, ln net.Listener, peer comm.Fra
 	}
 	var bt batcher
 	if cfg.Batch != nil {
-		b, err := newBatcher(party, mux, *cfg.Batch, cfg.Wire.Pool, codec)
+		b, err := newBatcher(party, mux, *cfg.Batch, cfg.Wire, cfg.Feed)
 		if err != nil {
 			mux.Close()
 			return fmt.Errorf("mpc: party %d: %w", party, err)
@@ -614,16 +615,16 @@ func serveMuxSession(party int, client *comm.Conn, mux *comm.Mux, bt batcher, cf
 // serveMuxLoop serves one client's requests until it disconnects. Each
 // request's peer exchange is the banded double pipeline (wireMul.mul) on
 // its own mux sub-stream keyed by the request id. With bt non-nil each
-// client-dealt request is first offered to the batch scheduler; requests
-// it cannot place (degenerate shapes, members dropped by the peer) run
-// the individual path unchanged.
+// request is first offered to the batch scheduler; requests it cannot
+// place (degenerate shapes, members dropped by the peer) run the
+// individual path unchanged.
 //
 // Every request leaves through one exit: a failure is counted, and the
 // latency histogram of the path taken is observed on success and failure
 // alike (an explicit start time instead of a Span, so failures record
 // too); a failed request ends the session.
 func serveMuxLoop(party int, client *comm.Conn, mux *comm.Mux, bt batcher, cfg ServeConfig) error {
-	s := &sessionServer{party: party, mux: mux, bt: bt, feed: cfg.Feed, w: newWireMul(party, cfg.Wire)}
+	s := &sessionServer{mux: mux, bt: bt, feed: cfg.Feed, w: newWireMul(party, cfg.Wire)}
 	defer s.w.close()
 	var reqBuf, outBuf []byte
 	for {
@@ -653,11 +654,10 @@ func serveMuxLoop(party int, client *comm.Conn, mux *comm.Mux, bt batcher, cfg S
 
 // sessionServer is one client session's serving state.
 type sessionServer struct {
-	party int
-	mux   *comm.Mux
-	bt    batcher
-	feed  TripletFeed
-	w     *wireMul
+	mux  *comm.Mux
+	bt   batcher
+	feed TripletFeed
+	w    *wireMul
 }
 
 // serve runs one request frame and appends the reply frame to out: the
@@ -677,10 +677,7 @@ func (s *sessionServer) serve(frame, out []byte) ([]byte, *obs.Histogram, error)
 		metrics.deadlineShed.Inc()
 		return append(out, EncodeRouteError(id, RouteDeadlineExceeded, 0)...), metrics.reqWire, nil
 	}
-	// Dealer-fed requests (nil triplet) skip the batcher: the stacked
-	// exchange ships member triplets inside the proposal, which the short
-	// request form deliberately does not carry.
-	if s.bt != nil && in.T.U != nil {
+	if s.bt != nil {
 		ci, release, handled, err := s.bt.do(id, in)
 		if handled {
 			if err != nil {
@@ -691,7 +688,8 @@ func (s *sessionServer) serve(frame, out []byte) ([]byte, *obs.Histogram, error)
 			return out, metrics.reqBatched, nil
 		}
 	}
-	ci, err := s.exchange(id, in)
+	one := [1]Shares{in}
+	ci, err := exchange(s.mux, id, s.w, s.feed, one[:], s.w.cfg.ChunkRows)
 	if err != nil {
 		return out, metrics.reqWire, fmt.Errorf("mpc: request %016x: %w", id, err)
 	}
@@ -700,35 +698,27 @@ func (s *sessionServer) serve(frame, out []byte) ([]byte, *obs.Histogram, error)
 	return out, metrics.reqWire, nil
 }
 
-// exchange runs one request's Beaver exchange on its own mux sub-stream,
-// drawing the triplet from the feed first when the request is dealer-fed.
-// A failed exchange aborts the sub-stream, which notifies the peer's half
-// so it fails fast instead of waiting out its read deadline on frames
-// that will never come.
-func (s *sessionServer) exchange(id uint64, in Shares) (*tensor.Matrix, error) {
-	sess, err := s.mux.Open(id)
+// exchange runs one Beaver exchange — a single request, or a batch's
+// row-stacked members — on mux session id: the triplet step, then the
+// banded multiplication in bands of band rows. A failed exchange aborts
+// the sub-stream, which notifies the peer's half so it fails fast instead
+// of waiting out its read deadline on frames that will never come.
+func exchange(mux *comm.Mux, id uint64, w *wireMul, feed TripletFeed, members []Shares, band int) (*tensor.Matrix, error) {
+	sess, err := mux.Open(id)
 	if err != nil {
 		return nil, err
 	}
-	if in.T.U == nil {
-		if s.feed == nil {
-			err = errors.New("dealer-fed request on a party with no triplet feed")
-		} else {
-			tspan := metrics.phaseTriplet.Start()
-			in.T, err = feedTriplet(s.party, s.feed, sess, in.A.Rows, in.A.Cols, in.B.Cols)
-			tspan.Stop()
-		}
-	}
-	var ci *tensor.Matrix
+	err = feedTriplet(w.party, feed, sess, members)
+	var c *tensor.Matrix
 	if err == nil {
-		ci, err = s.w.mul(sess, in.A, in.B, in.T)
+		c, err = w.mul(sess, members, band)
 	}
 	if err != nil {
 		sess.Abort()
 		return nil, err
 	}
 	sess.Close()
-	return ci, nil
+	return c, nil
 }
 
 // appendResult appends a result frame: the request id, then the share.

@@ -1,6 +1,8 @@
 package mpc
 
 import (
+	"bytes"
+	"encoding/binary"
 	"net"
 	"sync"
 	"testing"
@@ -232,7 +234,7 @@ func TestBatchedSurvivesClientKill(t *testing.T) {
 func TestBatchCtlCodecRoundTrip(t *testing.T) {
 	prop := batchProposal{
 		id:        0xdeadbeefcafef00d,
-		shape:     batchShape{m: 24, k: 16, n: 20},
+		shape:     batchShape{m: 24, k: 16, n: 20, fed: true},
 		stackBand: 48,
 		ids:       []uint64{1, 2, 3},
 	}
@@ -268,4 +270,49 @@ func TestBatchCtlCodecRoundTrip(t *testing.T) {
 			t.Errorf("parseAck accepted %x", bad)
 		}
 	}
+}
+
+// FuzzBatchCtl feeds peer-supplied bytes to every batch control decoder —
+// proposal, ack, and the triplet seq announcement that opens a dealer-fed
+// exchange. None may panic or over-allocate, and anything one accepts
+// must re-encode to exactly the bytes it parsed.
+func FuzzBatchCtl(f *testing.F) {
+	prop := batchProposal{id: 9, shape: batchShape{m: 4, k: 3, n: 2, fed: true}, stackBand: 8, ids: []uint64{5, 6}}
+	oversized := appendProposal(nil, batchProposal{id: 1, shape: batchShape{m: 1, k: 1, n: 1}})
+	binary.LittleEndian.PutUint32(oversized[27:], maxBatchCtlIDs+1)
+	wrongVersion := appendAck(nil, batchAck{id: 3, ids: []uint64{4}})
+	wrongVersion[0] = batchCtlVersion - 1
+	badFed := appendProposal(nil, prop)
+	badFed[26] = 2
+	for _, seed := range [][]byte{
+		appendProposal(nil, prop),
+		appendAck(nil, batchAck{id: 9, ids: []uint64{6}}),
+		// An announce of two seqs, then a truncated proposal.
+		binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, 17), 18),
+		appendProposal(nil, prop)[:29],
+		oversized,
+		wrongVersion,
+		badFed,
+		make([]byte, 12), // announce length not a multiple of 8
+		nil,
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		if p, err := parseProposal(frame); err == nil && !bytes.Equal(appendProposal(nil, p), frame) {
+			t.Fatalf("proposal %x re-encodes as %x", frame, appendProposal(nil, p))
+		}
+		if a, err := parseAck(frame); err == nil && !bytes.Equal(appendAck(nil, a), frame) {
+			t.Fatalf("ack %x re-encodes as %x", frame, appendAck(nil, a))
+		}
+		if seqs, err := parseAnnounce(frame); err == nil {
+			var re []byte
+			for _, seq := range seqs {
+				re = binary.LittleEndian.AppendUint64(re, seq)
+			}
+			if !bytes.Equal(re, frame) {
+				t.Fatalf("announce %x re-encodes as %x", frame, re)
+			}
+		}
+	})
 }

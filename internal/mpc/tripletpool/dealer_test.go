@@ -243,6 +243,48 @@ func TestDealerFeedFailsOnDeadDealer(t *testing.T) {
 	}
 }
 
+// TestDealerFeedRejectsReusedSeq checks invariant (ii), no Beaver
+// triplet used twice, at the feed: a Take of a seq this party already
+// consumed — below the consumption floor, or an out-of-order hole above
+// it — fails at once with a *seqReusedError instead of waiting forever
+// for a re-delivery the feed would drop as a duplicate.
+func TestDealerFeedRejectsReusedSeq(t *testing.T) {
+	addr, _ := startDealer(t, DealerConfig{Seed: 11})
+	f1 := dialFeed(t, addr, 1, 1, FeedConfig{})
+	take := func(seq uint64) error {
+		errc := make(chan error, 1)
+		go func() {
+			_, err := f1.Take(2, 3, 4, seq)
+			errc <- err
+		}()
+		select {
+		case err := <-errc:
+			return err
+		case <-time.After(5 * time.Second):
+			t.Fatalf("Take(%d) blocked", seq)
+			return nil
+		}
+	}
+	for _, seq := range []uint64{0, 1, 4} { // floor 2, hole {4}
+		if err := take(seq); err != nil {
+			t.Fatalf("first Take(%d): %v", seq, err)
+		}
+	}
+	for _, seq := range []uint64{0, 1, 4} {
+		var reused *seqReusedError
+		if err := take(seq); !errors.As(err, &reused) || reused.seq != seq {
+			t.Fatalf("second Take(%d) = %v, want a *seqReusedError", seq, err)
+		}
+	}
+	// The rejections leave the stream intact: the unconsumed seqs still
+	// arrive.
+	for _, seq := range []uint64{2, 3, 5} {
+		if err := take(seq); err != nil {
+			t.Fatalf("Take(%d) after the rejections: %v", seq, err)
+		}
+	}
+}
+
 func TestDealerProtoCodecs(t *testing.T) {
 	party, pairID, err := decodeDealerHello(encodeDealerHello(1, 77))
 	if err != nil || party != 1 || pairID != 77 {

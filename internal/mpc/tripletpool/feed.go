@@ -286,11 +286,14 @@ func (c *DealerClient) Next(m, k, n int) (uint64, mpc.TripletShares, error) {
 	fs := c.shape(s)
 	seq := fs.next
 	fs.next++
-	return seq, c.waitLocked(s, fs, seq), c.err
+	t, err := c.waitLocked(s, fs, seq)
+	return seq, t, err
 }
 
 // Take implements mpc.TripletFeed: the share of triplet seq of s's
-// stream, waiting for delivery.
+// stream, waiting for delivery. A seq this party has already consumed
+// fails with a *seqReusedError instead of waiting for a delivery that
+// readLoop would drop as a duplicate: the peer announced a triplet twice.
 func (c *DealerClient) Take(m, k, n int, seq uint64) (mpc.TripletShares, error) {
 	s := shape{M: m, K: k, N: n}
 	span := feedWaits.Start()
@@ -301,31 +304,44 @@ func (c *DealerClient) Take(m, k, n int, seq uint64) (mpc.TripletShares, error) 
 	if seq >= fs.next {
 		fs.next = seq + 1
 	}
-	return c.waitLocked(s, fs, seq), c.err
+	return c.waitLocked(s, fs, seq)
+}
+
+// seqReusedError reports a request for a triplet this party has already
+// consumed — a second use of one Beaver triplet, which would leak the
+// inputs it masks, so it fails the request instead of blocking it.
+type seqReusedError struct {
+	shape shape
+	seq   uint64
+}
+
+func (e *seqReusedError) Error() string {
+	return fmt.Sprintf("tripletpool: triplet %d of shape %dx%dx%d already consumed", e.seq, e.shape.M, e.shape.K, e.shape.N)
 }
 
 // waitLocked blocks until triplet seq of shape s arrives (issuing
 // credits to cover it) and pops it. An unconsumed seq pins the shape's
 // consumption floor at or below it, so a dealer restart mid-wait
-// re-delivers exactly this seq via the RESUME. On feed failure it
-// returns the zero value and leaves the error in c.err for the caller
-// to surface.
-func (c *DealerClient) waitLocked(s shape, fs *feedShape, seq uint64) mpc.TripletShares {
+// re-delivers exactly this seq via the RESUME. A seq already consumed
+// fails with a *seqReusedError; a feed failure is recorded in c.err and
+// returned.
+func (c *DealerClient) waitLocked(s shape, fs *feedShape, seq uint64) (mpc.TripletShares, error) {
 	for {
 		if c.err != nil {
-			return mpc.TripletShares{}
+			return mpc.TripletShares{}, c.err
+		}
+		if _, done := fs.done[seq]; done || seq < fs.floor {
+			return mpc.TripletShares{}, &seqReusedError{shape: s, seq: seq}
 		}
 		if err := c.ensureCredit(s, fs, seq); err != nil {
-			if c.err == nil {
-				c.err = err
-			}
-			return mpc.TripletShares{}
+			c.err = err
+			return mpc.TripletShares{}, err
 		}
 		if t, ok := fs.buf[seq]; ok {
 			delete(fs.buf, seq)
 			feedBuffered.Add(-1)
 			fs.consume(seq)
-			return t
+			return t, nil
 		}
 		c.cond.Wait()
 	}

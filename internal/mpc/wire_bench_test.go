@@ -68,7 +68,7 @@ func benchRemoteMulThrottled(b *testing.B, pipelined bool) {
 		go func() {
 			defer wg.Done()
 			if pipelined {
-				r, err := w0.mul(c0, in0.A, in0.B, in0.T)
+				r, err := w0.mul(c0, []Shares{in0}, cfg.ChunkRows)
 				if err == nil {
 					w0.put(r)
 				}
@@ -80,7 +80,7 @@ func benchRemoteMulThrottled(b *testing.B, pipelined bool) {
 		go func() {
 			defer wg.Done()
 			if pipelined {
-				r, err := w1.mul(c1, in1.A, in1.B, in1.T)
+				r, err := w1.mul(c1, []Shares{in1}, cfg.ChunkRows)
 				if err == nil {
 					w1.put(r)
 				}
@@ -151,7 +151,7 @@ func benchRemoteMulCompressed(b *testing.B, codec bool) {
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
-			r, err := w0.mul(c0, in0.A, in0.B, in0.T)
+			r, err := w0.mul(c0, []Shares{in0}, cfg.ChunkRows)
 			if err == nil {
 				w0.put(r)
 			}
@@ -159,7 +159,7 @@ func benchRemoteMulCompressed(b *testing.B, codec bool) {
 		}()
 		go func() {
 			defer wg.Done()
-			r, err := w1.mul(c1, in1.A, in1.B, in1.T)
+			r, err := w1.mul(c1, []Shares{in1}, cfg.ChunkRows)
 			if err == nil {
 				w1.put(r)
 			}

@@ -30,11 +30,11 @@ func runPipelinedPair(t *testing.T, c0, c1 comm.Framer, in0, in1 Shares, cfg0, c
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		r0, e0 = w0.mul(c0, in0.A, in0.B, in0.T)
+		r0, e0 = w0.mul(c0, []Shares{in0}, w0.cfg.ChunkRows)
 	}()
 	go func() {
 		defer wg.Done()
-		r1, e1 = w1.mul(c1, in1.A, in1.B, in1.T)
+		r1, e1 = w1.mul(c1, []Shares{in1}, w1.cfg.ChunkRows)
 	}()
 	wg.Wait()
 	if e0 != nil || e1 != nil {
@@ -103,7 +103,7 @@ func TestWirePipelineRejectsBadBandHeader(t *testing.T) {
 			}()
 			w := newWireMul(0, WireConfig{})
 			defer w.close()
-			_, err := w.mul(c0, in0.A, in0.B, in0.T)
+			_, err := w.mul(c0, []Shares{in0}, w.cfg.ChunkRows)
 			if err == nil || !strings.Contains(err.Error(), "E band") {
 				t.Fatalf("bad band header accepted: %v", err)
 			}
@@ -190,11 +190,11 @@ func TestWirePipelineTaggedPooledReuse(t *testing.T) {
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
-			r0, e0 = w0.mul(s0, in0.A, in0.B, in0.T)
+			r0, e0 = w0.mul(s0, []Shares{in0}, w0.cfg.ChunkRows)
 		}()
 		go func() {
 			defer wg.Done()
-			r1, e1 = w1.mul(s1, in1.A, in1.B, in1.T)
+			r1, e1 = w1.mul(s1, []Shares{in1}, w1.cfg.ChunkRows)
 		}()
 		wg.Wait()
 		s0.Close()

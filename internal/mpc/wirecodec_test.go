@@ -185,11 +185,11 @@ func runWireMulPair(t *testing.T, cfg0, cfg1 WireConfig, in0, in1 Shares) *tenso
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		r0, e0 = w0.mul(c0, in0.A, in0.B, in0.T)
+		r0, e0 = w0.mul(c0, []Shares{in0}, cfg0.ChunkRows)
 	}()
 	go func() {
 		defer wg.Done()
-		r1, e1 = w1.mul(c1, in1.A, in1.B, in1.T)
+		r1, e1 = w1.mul(c1, []Shares{in1}, cfg1.ChunkRows)
 	}()
 	wg.Wait()
 	if e0 != nil || e1 != nil {

@@ -6,7 +6,7 @@
 #
 # Usage: scripts/ci_drills.sh <drill>
 #   concurrent   concurrent sessions survive a client kill, bit-identical
-#   batching     cross-session batching: stacked == per-session, mid-batch kill
+#   batching     cross-session batching: stacked == per-session, mid-batch kill, dealer-fed
 #   chaos-link   peer link killed mid-flight; supervised reconnect + replay
 #   codec        wire codec negotiation, mixed versions, FP16/CSR identity
 #   checkpoint   kill-and-resume training: resumed run byte-identical
@@ -34,8 +34,10 @@ concurrent)
 batching)
   # Same-shape clients coalesced into stacked exchanges must stay
   # bit-identical to the per-session path, keep distinct shapes apart,
-  # and survive a client dying mid-batch.
+  # and survive a client dying mid-batch; dealer-fed clients batch too,
+  # bit-identical to a client-dealt reference on the dealer's stream.
   drill_test ./internal/mpc/ 'TestBatchedBitIdentical|TestBatchedMixedShapes|TestBatchedSurvivesClientKill'
+  drill_test ./internal/mpc/tripletpool/ 'TestDealerFedBatchedBitIdentical'
   ;;
 chaos-link)
   # The inter-server link dies twice at deterministic frame boundaries
